@@ -268,10 +268,12 @@ class MobiusAutomorphism:
         return self.as_function().jet(z)
 
     def interior_fixed_point(self) -> complex:
-        """The elliptic fixed point ``(1 - sqrt(1-|a|^2))/conj(a)``."""
-        if self.a == 0:
-            return 0.0 + 0.0j
-        return (1.0 - math.sqrt(1.0 - abs(self.a) ** 2)) / np.conj(self.a)
+        """The elliptic fixed point ``a/(1 + sqrt(1-|a|^2))``.
+
+        Equal to ``(1 - sqrt(1-|a|^2))/conj(a)`` but free of its cancellation
+        for small ``|a|``.
+        """
+        return self.a / (1.0 + math.sqrt(1.0 - abs(self.a) ** 2))
 
     def as_function(self) -> AnalyticFunction:
         a = self.a

@@ -3,15 +3,12 @@
 Exit codes: 0 success, 2 usage or parameter range, 3 violated mathematical
 precondition, 4 the requested characterization does not apply (for example
 no interior fixed point).  All reports embed the run configuration and the
-schema tag ``wco-report/1`` and are byte-stable for fixed inputs; the
-``WCO_THREADS`` environment variable caps worker fan-out (the computation is
-vectorized in-process, so any cap is already satisfied).
+schema tag ``wco-report/1`` and are byte-stable for fixed inputs.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -540,9 +537,6 @@ def cmd_paper_examples(args) -> int:
 
 
 def main(argv=None) -> int:
-    # the env var caps fan-out; evaluation is vectorized in-process, so the
-    # cap is honored by construction and cannot perturb results
-    os.environ.get("WCO_THREADS")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -2,9 +2,9 @@
 
 Column ``k`` of the truncation holds the expansion coefficients of
 ``psi * phi**k`` rescaled into the orthonormal basis.  All powers of ``phi``
-share one circle of samples, so assembling an N x N matrix costs one batched
-DFT; each column carries its own aliasing estimate and the whole assembly is
-deterministic for fixed inputs.
+share one circle of samples at one fixed radius, so assembling an N x N matrix
+costs one batched FFT; each column carries its own aliasing estimate and the
+whole assembly is deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -61,24 +61,17 @@ class OperatorMatrix:
         return self.entries.shape[0]
 
 
-def _radius_schedule(start: float) -> list[float]:
-    targets = [start] + [x for x in (0.8, 0.85, 0.9) if x > start + 1e-12]
-    return targets
-
-
 def assemble_matrix(
     psi: AnalyticFunction,
     phi: AnalyticFunction,
     p: SpaceParams,
     n: int,
-    cfg: ExtractionConfig | None = None,
 ) -> OperatorMatrix:
     """Assemble the N x N truncation of ``f -> psi * (f o phi)``.
 
-    The extraction radius starts at the configured value and is raised toward
-    0.9 while any column's top-quarter coefficient mass stays above the
-    configured tolerance relative to that column's largest coefficient.
-    Columns still above ``1e-8 * max|c|`` after the schedule get a warning.
+    Every column is extracted from one circle at the default radius.
+    Columns whose top-quarter coefficient mass exceeds ``1e-8 * max|c|`` get
+    a warning.
     """
     p.require_core()
     if n < 1:
@@ -88,39 +81,27 @@ def assemble_matrix(
             "phi is not a verified self-map of the disc; the operator "
             "truncation is only meaningful for self-maps"
         )
-    if cfg is None:
-        cfg = default_extraction_config(n)
-    if cfg.sample_count < 2 * n:
+    cfg = default_extraction_config(n)
+    z = circle_points(cfg.sample_radius, cfg.sample_count)
+    psi_vals = np.asarray(psi.value(z), dtype=np.complex128)
+    phi_vals = np.asarray(phi.value(z), dtype=np.complex128)
+    finite = np.all(np.isfinite(psi_vals.view(np.float64))) and np.all(
+        np.isfinite(phi_vals.view(np.float64))
+    )
+    if not finite:
+        raise PreconditionError("evaluator not analytic on sampling circle")
+    if float(np.max(np.abs(psi_vals))) == 0.0:
         raise PreconditionError(
-            "sample_count %d cannot resolve %d coefficients" % (cfg.sample_count, n)
+            "psi vanishes identically on the sampling circle; the zero "
+            "operator is excluded"
         )
-
-    chosen = None
-    for radius in _radius_schedule(cfg.sample_radius):
-        z = circle_points(radius, cfg.sample_count)
-        psi_vals = np.asarray(psi.value(z), dtype=np.complex128)
-        phi_vals = np.asarray(phi.value(z), dtype=np.complex128)
-        finite = np.all(np.isfinite(psi_vals.view(np.float64))) and np.all(
-            np.isfinite(phi_vals.view(np.float64))
-        )
-        if not finite:
-            raise PreconditionError("evaluator not analytic on sampling circle")
-        if float(np.max(np.abs(psi_vals))) == 0.0:
-            raise PreconditionError(
-                "psi vanishes identically on the sampling circle; the zero "
-                "operator is excluded"
-            )
-        samples = np.empty((n, cfg.sample_count), dtype=np.complex128)
-        samples[0] = psi_vals
-        for k in range(1, n):
-            samples[k] = samples[k - 1] * phi_vals
-        raw = dft_coefficient_rows(samples, radius, n - 1)  # (col, coeff)
-        est = np.array([aliasing_estimate(raw[k]) for k in range(n)])
-        col_max = np.maximum(np.max(np.abs(raw), axis=1), 1e-300)
-        chosen = (radius, raw, est, col_max)
-        if np.all(est <= cfg.tail_tolerance * col_max):
-            break
-    radius, raw, est, col_max = chosen
+    samples = np.empty((n, cfg.sample_count), dtype=np.complex128)
+    samples[0] = psi_vals
+    for k in range(1, n):
+        samples[k] = samples[k - 1] * phi_vals
+    raw = dft_coefficient_rows(samples, cfg.sample_radius, n - 1)  # (col, coeff)
+    est = np.array([aliasing_estimate(raw[k]) for k in range(n)])
+    col_max = np.maximum(np.max(np.abs(raw), axis=1), 1e-300)
 
     warnings = tuple(
         "column %d extraction estimate %.3e exceeds 1e-8 of its largest "
@@ -140,7 +121,7 @@ def assemble_matrix(
         psi_label=psi.label,
         phi_label=phi.label,
         col_errors=col_errors,
-        sample_radius=radius,
+        sample_radius=cfg.sample_radius,
         sample_count=cfg.sample_count,
         warnings=warnings,
     )
@@ -152,7 +133,6 @@ def apply_operator(
     f: TaylorSeries,
     p: SpaceParams,
     n: int,
-    cfg: ExtractionConfig | None = None,
 ) -> tuple[TaylorSeries, float]:
     """Coefficients of ``psi * (f o phi)`` extracted from the point evaluator.
 
@@ -165,27 +145,15 @@ def apply_operator(
             "phi is not a verified self-map of the disc; composition with f "
             "requires one"
         )
-    if cfg is None:
-        cfg = default_extraction_config(n)
-    if cfg.sample_count < 2 * n:
-        raise PreconditionError(
-            "sample_count %d cannot resolve %d coefficients" % (cfg.sample_count, n)
-        )
-    chosen = None
-    for radius in _radius_schedule(cfg.sample_radius):
-        z = circle_points(radius, cfg.sample_count)
-        vals = np.asarray(psi.value(z), dtype=np.complex128) * evaluate(
-            f, np.asarray(phi.value(z), dtype=np.complex128)
-        )
-        if not np.all(np.isfinite(vals.view(np.float64))):
-            raise PreconditionError("evaluator not analytic on sampling circle")
-        coeffs = dft_coefficient_rows(vals, radius, n - 1)[0]
-        est = aliasing_estimate(coeffs)
-        chosen = (coeffs, est)
-        if est <= cfg.tail_tolerance * max(float(np.max(np.abs(coeffs))), 1e-300):
-            break
-    coeffs, est = chosen
-    return TaylorSeries(coeffs), est
+    cfg = default_extraction_config(n)
+    z = circle_points(cfg.sample_radius, cfg.sample_count)
+    vals = np.asarray(psi.value(z), dtype=np.complex128) * evaluate(
+        f, np.asarray(phi.value(z), dtype=np.complex128)
+    )
+    if not np.all(np.isfinite(vals.view(np.float64))):
+        raise PreconditionError("evaluator not analytic on sampling circle")
+    coeffs = dft_coefficient_rows(vals, cfg.sample_radius, n - 1)[0]
+    return TaylorSeries(coeffs), aliasing_estimate(coeffs)
 
 
 def matrix_apply(m: OperatorMatrix, f: TaylorSeries) -> TaylorSeries:
@@ -217,7 +185,6 @@ def adjoint_kernel_check(
     p: SpaceParams,
     z,
     n: int,
-    cfg: ExtractionConfig | None = None,
     matrix: OperatorMatrix | None = None,
 ) -> AdjointKernelReport:
     """Check that the adjoint truncation sends the kernel at ``z`` to
@@ -230,7 +197,7 @@ def adjoint_kernel_check(
             "dominate nearer the boundary"
         )
     if matrix is None:
-        matrix = assemble_matrix(psi, phi, p, n, cfg)
+        matrix = assemble_matrix(psi, phi, p, n)
     jet = phi.jet(z)
     phi_z = complex(jet.v)
     v_z = kernel_coordinates(z, p, n)

@@ -2,10 +2,10 @@
 
 A :class:`TaylorSeries` is the finite expansion ``sum_{n=0}^{order} c_n z^n``
 about the origin with complex coefficients.  Coefficients of analytic point
-evaluators are recovered by sampling on a circle ``|z| = rho`` and applying a
-discrete Fourier transform; the aliasing indicator (the largest coefficient in
-the top quarter of the extracted range) is always returned next to the series,
-never discarded.
+evaluators are recovered by sampling on one circle ``|z| = rho`` and applying
+a single FFT; the aliasing indicator (the largest coefficient in the top
+quarter of the extracted range) is always returned next to the series, never
+discarded.
 """
 
 from __future__ import annotations
@@ -17,12 +17,10 @@ import numpy as np
 
 from .errors import ParameterError, PreconditionError
 
-# Direct fsum summation keeps the DFT at the sample-rounding floor; beyond
-# this work bound the BLAS matrix product is used instead.
-_FSUM_WORK_LIMIT = 1 << 18
-
-# rho**(-order) must stay far from the double-precision overflow threshold.
-_LOG_AMPLIFICATION_LIMIT = 600.0
+# rho**(-order) amplifies the rounding of the samples; beyond e**219.7 (about
+# 1e95) the coefficients are noise.  At the default radius 0.9 this admits
+# orders up to 2085, so N x N truncations up to N = 2086.
+_LOG_AMPLIFICATION_LIMIT = 219.7
 
 
 @dataclass(frozen=True)
@@ -56,14 +54,13 @@ class TaylorSeries:
 class ExtractionConfig:
     """Sampling policy for circle-based coefficient extraction.
 
+    Each extraction samples only the circle ``|z| = sample_radius``.
     ``sample_count`` must be a power of two exceeding twice the order of any
-    series extracted with it; ``tail_tolerance`` is the relative aliasing
-    level above which callers escalate (larger radius, warnings).
+    series extracted with it.
     """
 
-    sample_radius: float = 0.75
+    sample_radius: float = 0.9
     sample_count: int = 1024
-    tail_tolerance: float = 1e-8
 
     def __post_init__(self):
         if not (0.0 < self.sample_radius < 1.0):
@@ -71,8 +68,6 @@ class ExtractionConfig:
         m = self.sample_count
         if m <= 0 or (m & (m - 1)) != 0:
             raise ParameterError("sample_count must be a positive power of two")
-        if self.tail_tolerance < 0:
-            raise ParameterError("tail_tolerance must be nonnegative")
 
 
 def cauchy_product(f: TaylorSeries, g: TaylorSeries) -> TaylorSeries:
@@ -118,7 +113,8 @@ def _root_table(count: int) -> np.ndarray:
 
     The fraction ``2k/count`` is dyadic-exact for power-of-two counts, so after
     quadrant reduction the only rounding left is one multiply by pi and the
-    libm sin/cos; this keeps high-order DFT bins at the sample-rounding floor.
+    libm sin/cos; the sample points of :func:`circle_points` are therefore
+    exact on the axes and symmetric under the quarter turns.
     """
     k = np.arange(count)
     x = 2.0 * k / count
@@ -137,48 +133,28 @@ def _check_amplification(radius: float, order: int) -> None:
     if order * math.log(1.0 / radius) > _LOG_AMPLIFICATION_LIMIT:
         raise ParameterError(
             "sample radius %g is too small for order %d: the rescaling "
-            "radius**-n overflows double precision" % (radius, order)
+            "radius**-n amplifies sample rounding past e**%g"
+            % (radius, order, _LOG_AMPLIFICATION_LIMIT)
         )
 
 
 def dft_coefficient_rows(samples: np.ndarray, radius: float, order: int) -> np.ndarray:
     """Taylor coefficients 0..order for each row of circle samples.
 
-    ``samples[r, j]`` is the r-th evaluator at ``radius*exp(2*pi*1j*j/M)``.
-    Small problems are summed with ``math.fsum`` (exact given the samples);
-    larger ones use a BLAS product against the octant-exact root table.
+    ``samples[r, j]`` is the r-th evaluator at ``radius*exp(2*pi*1j*j/M)``;
+    bin ``n`` of the row's forward FFT divided by ``M * radius**n`` is its
+    coefficient ``n``.
     """
     s = np.atleast_2d(np.asarray(samples, dtype=np.complex128))
-    nrows, m = s.shape
+    m = s.shape[1]
     if m < 2 * (order + 1):
         raise PreconditionError(
             "sample_count must be at least 2*(order+1) to resolve order %d"
             % order
         )
     _check_amplification(radius, order)
-    table = _root_table(m)
     n = np.arange(order + 1)
-    scale = m * radius**n
-    if nrows * m * (order + 1) <= _FSUM_WORK_LIMIT:
-        out = np.empty((nrows, order + 1), dtype=np.complex128)
-        j = np.arange(m)
-        for r in range(nrows):
-            row = s[r]
-            for nn in range(order + 1):
-                terms = row * table[(nn * j) % m]
-                out[r, nn] = complex(
-                    math.fsum(terms.real), math.fsum(terms.imag)
-                )
-        return out / scale[None, :]
-    # chunk the root matrix so memory stays bounded
-    out = np.empty((nrows, order + 1), dtype=np.complex128)
-    j = np.arange(m)
-    block = max(1, (1 << 22) // m)
-    for start in range(0, order + 1, block):
-        stop = min(order + 1, start + block)
-        w = table[(np.outer(n[start:stop], j)) % m]
-        out[:, start:stop] = s @ w.T
-    return out / scale[None, :]
+    return np.fft.fft(s, axis=1)[:, : order + 1] / (m * radius**n)
 
 
 def aliasing_estimate(coeffs: np.ndarray) -> float:

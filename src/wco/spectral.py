@@ -19,8 +19,8 @@ from .catalog import (
     find_fixed_point,
 )
 from .errors import InapplicableError, NumericsError, ParameterError
-from .operator import OperatorMatrix, assemble_matrix, default_extraction_config
-from .series import ExtractionConfig, TaylorSeries, circle_points, evaluate
+from .operator import OperatorMatrix, assemble_matrix
+from .series import TaylorSeries, circle_points, evaluate
 from .spaces import SpaceParams
 
 LEADING_COUNT = 6
@@ -208,7 +208,6 @@ def spectrum_study(
     phi: AnalyticFunction,
     p: SpaceParams,
     n: int,
-    cfg: ExtractionConfig | None = None,
     count: int = 12,
     criteria_report=None,
 ) -> SpectrumReport:
@@ -228,10 +227,7 @@ def spectrum_study(
     errors_by_size = {}
     final_eig = None
     for size in sizes:
-        matrix = assemble_matrix(
-            psi, phi, p, size, cfg if size == n else default_extraction_config(size)
-        )
-        eig = truncated_eigenvalues(matrix)
+        eig = truncated_eigenvalues(assemble_matrix(psi, phi, p, size))
         interim = match_spectra(pred, eig, tol_profile=(np.inf,) * LEADING_COUNT)
         head = interim.matches[: min(LEADING_COUNT, len(interim.matches))]
         if pred.quasi_nilpotent:
@@ -326,7 +322,6 @@ def conjugation_invariance_check(
     a,
     p: SpaceParams,
     n: int,
-    cfg: ExtractionConfig | None = None,
 ) -> ConjugationReport:
     """Both routes must produce the same leading spectrum.
 
@@ -340,13 +335,13 @@ def conjugation_invariance_check(
         abs(complex(zeta.value(0.0)) - pred.psi_a),
         abs(complex(eta.jet(0.0).d1) - pred.phi_prime_a),
     )
-    conj_matrix = assemble_matrix(zeta, eta, p, n, cfg)
+    conj_matrix = assemble_matrix(zeta, eta, p, n)
     diag = np.diag(conj_matrix.entries)
     head = min(len(pred.predicted) - (0 if pred.quasi_nilpotent else 1), n)
     diag_err = float(
         np.max(np.abs(diag[:head] - np.asarray(pred.predicted[:head])))
     )
-    eig_direct = truncated_eigenvalues(assemble_matrix(psi, phi, p, n, cfg))
+    eig_direct = truncated_eigenvalues(assemble_matrix(psi, phi, p, n))
     eig_conj = truncated_eigenvalues(conj_matrix)
     take = min(LEADING_COUNT, n)
     agreement = tuple(

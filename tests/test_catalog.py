@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -252,6 +254,19 @@ def test_fixed_point_of_elliptic_automorphism_via_newton_probe():
     assert abs(f.value(a) - a) <= 1e-12
     assert abs(a - f.known_fixed_point) <= 1e-9
     assert abs(a - (1 - np.sqrt(0.75)) / 0.5) <= 1e-12
+
+
+def test_automorphism_fixed_point_for_small_parameters():
+    # the fixed point of (a - z)/(1 - conj(a) z) is a/2 + O(|a|^3) near a = 0
+    for a in (1e-9, 1e-200, 1e-9j):
+        got = MobiusAutomorphism(a).interior_fixed_point()
+        assert abs(got - a / 2) <= 1e-15 * abs(a / 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tiny = MobiusAutomorphism(1e-310).interior_fixed_point()
+    assert tiny == 1e-310 / 2
+    ref = (1 - np.sqrt(1 - 0.3**2)) / 0.3
+    assert abs(MobiusAutomorphism(0.3).interior_fixed_point() - ref) <= 1e-15
 
 
 # --- invariants ----------------------------------------------------------------------

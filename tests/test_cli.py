@@ -107,6 +107,17 @@ def test_norm_check_reports_both_variants():
     assert 0.1 <= doc["ratio_first_over_coeff"] <= 10.0
 
 
+@pytest.mark.parametrize("n", ["2087", "3000", "4096"])
+def test_sizes_past_extraction_limit_exit_two(n):
+    # N = 2086 is the largest size whose coefficients the default radius
+    # can extract; norm-check reaches that limit without assembling a matrix
+    proc = run(
+        "norm-check", "--alpha", "0.5", "--f", "polynomial:0,0,1", "--N", n
+    )
+    assert proc.returncode == 2
+    assert b"too small for order" in proc.stderr
+
+
 def test_sweep_lambda_rows_all_compact():
     proc = run(
         "sweep", "--vary", "lambda", "--range", "0.5:0.9:5", *EX1_ARGS

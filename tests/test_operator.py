@@ -13,7 +13,7 @@ from wco.operator import (
     export_matrix_json,
     matrix_apply,
 )
-from wco.series import ExtractionConfig, TaylorSeries
+from wco.series import ExtractionConfig, TaylorSeries, dft_coefficient_rows
 from wco.spaces import SpaceParams
 
 ONE = catalog.polynomial([1.0])
@@ -62,10 +62,25 @@ def test_assemble_rejects_zero_weight():
 
 
 def test_assemble_warns_on_slow_tails():
-    cfg = ExtractionConfig(sample_count=512, tail_tolerance=1e-18)
-    m = assemble_matrix(EX1_PSI, EX1_PHI, P_HALF, 64, cfg)
+    m = assemble_matrix(EX1_PSI, EX1_PHI, P_HALF, 64)
     assert m.warnings  # power weight has polynomial coefficient decay
-    assert m.sample_radius == 0.9  # schedule exhausted
+
+
+def test_one_extraction_per_call(monkeypatch):
+    import wco.operator
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return dft_coefficient_rows(*args, **kwargs)
+
+    monkeypatch.setattr(wco.operator, "dft_coefficient_rows", counting)
+    m = assemble_matrix(EX1_PSI, EX1_PHI, P_HALF, 64)
+    assert len(calls) == 1
+    assert m.sample_radius == ExtractionConfig().sample_radius == 0.9
+    apply_operator(EX1_PSI, EX1_PHI, TaylorSeries([1.0, 0.5]), P_HALF, 64)
+    assert calls == [m.sample_radius] * 2
 
 
 def test_apply_operator_examples():

@@ -169,6 +169,15 @@ def test_extract_rejects_undersampling():
         extract_coeffs(lambda z: z, cfg, 8)
 
 
+def test_extract_rejects_amplification_past_order_2085():
+    # at the default radius 0.9, radius**-order may amplify the sample
+    # rounding up to order 2085 (N = 2086 truncations); beyond, fail loudly
+    cfg = ExtractionConfig(sample_count=8192)
+    extract_coeffs(lambda z: z, cfg, 2085)
+    with pytest.raises(ParameterError, match="too small for order 2086"):
+        extract_coeffs(lambda z: z, cfg, 2086)
+
+
 @settings(max_examples=30)
 @given(int_poly)
 def test_extract_roundtrips_polynomials(coeffs):
@@ -202,8 +211,8 @@ def test_extract_is_linear(a, b, ca, cb):
 
 
 def test_small_and_large_dft_paths_agree():
-    # below the work bound the DFT is exact-summed, above it goes through
-    # the BLAS matrix product; both must recover the same coefficients
+    # the recovered coefficients must not depend on the sample count
+    # (64 vs 65536 points on the same circle)
     f = TaylorSeries([1.0, -2.0, 0.5j, 3.0, -1.0 + 1j])
     small, _ = extract_coeffs(
         lambda z: evaluate(f, z), ExtractionConfig(sample_count=64), 8
