@@ -3,7 +3,9 @@
 Every function carries hand-derived first and second derivatives next to its
 value (a :class:`Jet2`), because the boundedness and compactness quantities
 involve second derivatives near the boundary where difference quotients lose
-accuracy.  The families are addressable by spec strings such as
+accuracy.  Each family also carries its exact Taylor coefficients about the
+origin (``AnalyticFunction.taylor``), from which matrix truncations are
+assembled.  The families are addressable by spec strings such as
 ``"phi_rk:r=0.5,k=2"`` or ``"polynomial:0.5,0,0.5"``.
 """
 
@@ -42,9 +44,15 @@ class AnalyticFunction:
     """A disc-analytic function with jet evaluation and catalog metadata.
 
     ``raw_jet`` maps an ndarray of points to the ``(value, d1, d2)`` triple;
-    it must be vectorized and pure.  Metadata is asserted by construction:
-    ``claims_self_map`` promises ``|f| <= 1 + 1e-9`` on validation grids,
-    ``known_fixed_point`` promises ``|f(a) - a| <= 1e-10``.
+    it must be vectorized and pure.  ``taylor``, when present, maps an order
+    to the exact Taylor coefficients ``0..order`` about the origin, computed
+    from closed forms or recurrences rather than from samples; the array is
+    float64 when every coefficient is real and complex128 otherwise.  Every
+    catalog family has one; compositions, products and wrapped callables do
+    not, and their coefficients must be extracted from samples.  Metadata is
+    asserted by construction: ``claims_self_map`` promises
+    ``|f| <= 1 + 1e-9`` on validation grids, ``known_fixed_point`` promises
+    ``|f(a) - a| <= 1e-10``.
     """
 
     label: str
@@ -53,6 +61,9 @@ class AnalyticFunction:
     claims_univalent: bool = False
     known_fixed_point: Optional[complex] = None
     boundary_continuous: bool = True
+    taylor: Optional[Callable[[int], np.ndarray]] = field(
+        default=None, repr=False, compare=False
+    )
 
     def jet(self, z) -> Jet2:
         zz = np.asarray(z, dtype=np.complex128)
@@ -80,6 +91,20 @@ def _fmt_param(x) -> str:
     return repr(xc.real) + ("+" if xc.imag >= 0 else "-") + repr(abs(xc.imag)) + "i"
 
 
+def _polynomial_taylor(coeffs):
+    """``taylor`` of the polynomial with ascending coefficients ``coeffs``."""
+    c = np.asarray(coeffs, dtype=np.complex128)
+    if not np.any(c.imag):
+        c = c.real.copy()
+
+    def taylor(order):
+        out = np.zeros(order + 1, dtype=c.dtype)
+        out[: min(c.size, order + 1)] = c[: order + 1]
+        return out
+
+    return taylor
+
+
 def mobius_self_map(lam: float) -> AnalyticFunction:
     """``lam*z / (1 - (1-lam)*z)``, a univalent self-map fixing 0.
 
@@ -95,12 +120,19 @@ def mobius_self_map(lam: float) -> AnalyticFunction:
         d = 1.0 - b * z
         return lam * z / d, lam / d**2, 2.0 * lam * b / d**3
 
+    def taylor(order):
+        # geometric series: c_0 = 0, c_j = lam * b**(j-1)
+        out = np.zeros(order + 1)
+        out[1:] = lam * b ** np.arange(order)
+        return out
+
     return AnalyticFunction(
         label="mobius_self_map:lambda=%s" % _fmt_param(lam),
         raw_jet=raw,
         claims_self_map=True,
         claims_univalent=True,
         known_fixed_point=0.0 + 0.0j,
+        taylor=taylor,
     )
 
 
@@ -115,6 +147,27 @@ def _exp_lft_jet(a_num: complex, b_num: complex, r: float):
         return e, w1 * e, (w2 + w1 * w1) * e
 
     return raw
+
+
+def _exp_lft_taylor(a_num: float, b_num: float, r: float):
+    """``taylor`` of ``exp(g)``, ``g = (a*z + b)/(1 - r*z)``.
+
+    ``g_0 = b`` and ``g_j = (a + r*b) r**(j-1)``; the coefficients of
+    ``h = exp(g)`` follow from ``h' = g' h`` as J.C.P. Miller's recurrence
+    ``n h_n = sum_{k=1..n} k g_k h_{n-k}`` (Henrici, Applied and
+    Computational Complex Analysis I, section 1.6).
+    """
+
+    def taylor(order):
+        j = np.arange(order + 1)
+        jg = j * (a_num + r * b_num) * r ** (j - 1.0)
+        h = np.empty(order + 1)
+        h[0] = math.exp(b_num)
+        for m in range(1, order + 1):
+            h[m] = np.dot(jg[1 : m + 1], h[m - 1 :: -1]) / m
+        return h
+
+    return taylor
 
 
 def phi_rk(r: float, k: float) -> AnalyticFunction:
@@ -134,6 +187,7 @@ def phi_rk(r: float, k: float) -> AnalyticFunction:
         raw_jet=_exp_lft_jet(r * k - 1.0, r - k, r),
         claims_self_map=True,
         claims_univalent=True,
+        taylor=_exp_lft_taylor(r * k - 1.0, r - k, r),
     )
 
 
@@ -151,6 +205,7 @@ def phi_r1(r: float) -> AnalyticFunction:
         raw_jet=_exp_lft_jet(r - 1.0, r - 1.0, r),
         claims_self_map=True,
         claims_univalent=True,
+        taylor=_exp_lft_taylor(r - 1.0, r - 1.0, r),
     )
 
 
@@ -173,11 +228,18 @@ def psi_power(beta: float) -> AnalyticFunction:
             beta * (beta - 1.0) * w ** (beta - 2.0),
         )
 
+    def taylor(order):
+        # binomial series: c_0 = 1, c_j = c_{j-1} (j-1-beta) / j
+        ratios = np.ones(order + 1)
+        ratios[1:] = (np.arange(order) - beta) / np.arange(1.0, order + 1)
+        return np.cumprod(ratios)
+
     return AnalyticFunction(
         label="psi_power:beta=%s" % _fmt_param(beta),
         raw_jet=raw,
         claims_self_map=False,
         claims_univalent=beta <= 2.0,
+        taylor=taylor,
     )
 
 
@@ -218,6 +280,7 @@ def polynomial(coeffs) -> AnalyticFunction:
         raw_jet=raw,
         claims_self_map=sup <= 1.0 + _SELF_MAP_SLACK,
         claims_univalent=arr.size == 2 and arr[1] != 0,
+        taylor=_polynomial_taylor(arr),
     )
 
 
@@ -236,6 +299,7 @@ def affine(c0, c1) -> AnalyticFunction:
         claims_self_map=abs(c0) + abs(c1) <= 1.0 + 1e-12,
         claims_univalent=c1 != 0,
         known_fixed_point=fixed,
+        taylor=_polynomial_taylor([c0, c1]),
     )
 
 
@@ -246,6 +310,7 @@ def identity() -> AnalyticFunction:
         claims_self_map=True,
         claims_univalent=True,
         known_fixed_point=0.0 + 0.0j,
+        taylor=_polynomial_taylor([0.0, 1.0]),
     )
 
 
@@ -287,12 +352,22 @@ class MobiusAutomorphism:
                 2.0 * ac * (abs(a) ** 2 - 1.0) / d**3,
             )
 
+        s = a.real if a.imag == 0.0 else a  # a real a gives real coefficients
+
+        def taylor(order):
+            # (a - z) * sum (conj(a) z)**n: c_0 = a, c_n = (|a|^2 - 1) conj(a)**(n-1)
+            out = np.empty(order + 1, dtype=type(s))
+            out[0] = s
+            out[1:] = (abs(s) ** 2 - 1.0) * np.conj(s) ** np.arange(order)
+            return out
+
         return AnalyticFunction(
             label="mobius_auto:a=%s" % _fmt_param(a),
             raw_jet=raw,
             claims_self_map=True,
             claims_univalent=True,
             known_fixed_point=self.interior_fixed_point(),
+            taylor=taylor,
         )
 
 

@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 usage or parameter range, 3 violated mathematical
 precondition, 4 the requested characterization does not apply (for example
 no interior fixed point).  All reports embed the run configuration and the
-schema tag ``wco-report/1`` and are byte-stable for fixed inputs.
+schema tag ``wco-report/1`` and are byte-stable for fixed inputs and a
+fixed BLAS thread count.
 """
 
 from __future__ import annotations

@@ -19,7 +19,8 @@ from .errors import ParameterError, PreconditionError
 
 # rho**(-order) amplifies the rounding of the samples; beyond e**219.7 (about
 # 1e95) the coefficients are noise.  At the default radius 0.9 this admits
-# orders up to 2085, so N x N truncations up to N = 2086.
+# orders up to 2085: N <= 2086 for norm-check and for truncations whose
+# symbols have no exact coefficients.
 _LOG_AMPLIFICATION_LIMIT = 219.7
 
 

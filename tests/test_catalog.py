@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wco import catalog
 from wco.catalog import (
     MobiusAutomorphism,
     affine,
@@ -52,6 +51,54 @@ def disc_points(n=40, cap=0.9, seed=7):
 
 
 # --- constructors ----------------------------------------------------------------
+
+
+# Each family with its closed form in mpmath (``m``), with real and complex
+# parameters where the family takes both.
+TAYLOR_CASES = [
+    (psi_power(2.5), lambda m, z: (1 - z) ** m.mpf(2.5)),
+    (psi_power(0.7), lambda m, z: (1 - z) ** m.mpf(0.7)),
+    (mobius_self_map(0.5), lambda m, z: m.mpf(0.5) * z / (1 - m.mpf(0.5) * z)),
+    (mobius_self_map(0.8), lambda m, z: m.mpf(0.8) * z / (1 - m.mpf(0.2) * z)),
+    (phi_rk(0.5, 2.0), lambda m, z: m.exp((z * (m.mpf(0.5) * 2 - 1) + (m.mpf(0.5) - 2))
+                                        / (1 - m.mpf(0.5) * z))),
+    (phi_rk(0.3, 1.5), lambda m, z: m.exp((z * (m.mpf(0.3) * m.mpf(1.5) - 1)
+                                           + (m.mpf(0.3) - m.mpf(1.5)))
+                                          / (1 - m.mpf(0.3) * z))),
+    (phi_r1(0.6), lambda m, z: m.exp((1 - m.mpf(0.6)) * (z + 1) / (m.mpf(0.6) * z - 1))),
+    (polynomial([0.5, 0, 0.5]), lambda m, z: m.mpf(0.5) + m.mpf(0.5) * z**2),
+    (polynomial([0.25 + 0.5j, -0.125j, 0.375]),
+     lambda m, z: m.mpc(0.25, 0.5) + m.mpc(0, -0.125) * z + m.mpf(0.375) * z**2),
+    (affine(0.25, 0.5), lambda m, z: m.mpf(0.25) + m.mpf(0.5) * z),
+    (affine(0.1j, 0.5 + 0.25j), lambda m, z: m.mpc(0, 0.1) + m.mpc(0.5, 0.25) * z),
+    (identity(), lambda m, z: z),
+    (mobius_auto(0.3), lambda m, z: (m.mpf(0.3) - z) / (1 - m.mpf(0.3) * z)),
+    (mobius_auto(0.4 + 0.2j),
+     lambda m, z: (m.mpc(0.4, 0.2) - z) / (1 - m.mpc(0.4, -0.2) * z)),
+]
+
+
+@pytest.mark.parametrize("f,closed", TAYLOR_CASES, ids=[f.label for f, _ in TAYLOR_CASES])
+def test_taylor_matches_closed_form(f, closed):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        want = np.array(
+            [complex(c) for c in mpmath.taylor(lambda z: closed(mpmath, z), 0, 40)]
+        )
+    got = f.taylor(40)
+    real = not np.any(want.imag)
+    assert got.dtype == (np.float64 if real else np.complex128)
+    assert got.shape == (41,)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_taylor_absent_outside_the_catalog():
+    inner = mobius_self_map(0.5)
+    assert jet_compose(psi_power(2.5), inner).taylor is None
+    assert product(psi_power(2.5), inner).taylor is None
+    assert factor_tau(inner).taylor is None
+    zeta, eta = conjugate_to_origin(psi_power(2.5), inner, 0.0)
+    assert zeta.taylor is None and eta.taylor is None
 
 
 def test_mobius_self_map_jet_at_origin():

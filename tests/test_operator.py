@@ -62,12 +62,24 @@ def test_assemble_rejects_zero_weight():
 
 
 def test_assemble_warns_on_slow_tails():
-    m = assemble_matrix(EX1_PSI, EX1_PHI, P_HALF, 64)
-    assert m.warnings  # power weight has polynomial coefficient decay
+    # The catalog weight has exact coefficients and no extraction estimate,
+    # so the ex1 pair raises no warnings.  The same weight behind a custom
+    # wrapper is sampled; its coefficients decay like j**-3.5, so the top
+    # quarter of the extracted range stays large and the columns warn.
+    assert assemble_matrix(EX1_PSI, EX1_PHI, P_HALF, 64).warnings == ()
+    sampled = catalog.custom(
+        "sampled_power",
+        lambda z: (1.0 - z) ** 2.5,
+        lambda z: -2.5 * (1.0 - z) ** 1.5,
+        lambda z: 3.75 * (1.0 - z) ** 0.5,
+    )
+    assert sampled.taylor is None
+    assert assemble_matrix(sampled, EX1_PHI, P_HALF, 64).warnings
 
 
 def test_one_extraction_per_call(monkeypatch):
     import wco.operator
+    import wco.series
 
     calls = []
 
@@ -75,12 +87,75 @@ def test_one_extraction_per_call(monkeypatch):
         calls.append(args[1])
         return dft_coefficient_rows(*args, **kwargs)
 
+    monkeypatch.setattr(wco.series, "dft_coefficient_rows", counting)
     monkeypatch.setattr(wco.operator, "dft_coefficient_rows", counting)
+    # catalog symbols have exact coefficients: no circle is sampled
     m = assemble_matrix(EX1_PSI, EX1_PHI, P_HALF, 64)
-    assert len(calls) == 1
+    assert calls == [] and m.sample_radius is None and m.sample_count is None
+    # conjugated symbols have none: one extraction per sampled function
+    zeta, eta = catalog.conjugate_to_origin(EX1_PSI, EX1_PHI, 0.0)
+    m = assemble_matrix(zeta, eta, P_HALF, 64)
+    assert len(calls) == 2
     assert m.sample_radius == ExtractionConfig().sample_radius == 0.9
+    assemble_matrix(zeta, EX1_PHI, P_HALF, 64)
+    assert len(calls) == 3
     apply_operator(EX1_PSI, EX1_PHI, TaylorSeries([1.0, 0.5]), P_HALF, 64)
-    assert calls == [m.sample_radius] * 2
+    assert calls == [0.9] * 4
+
+
+@pytest.mark.parametrize("n", [512, 1024])
+def test_ex1_truncation_is_real_triangular_and_bounded(n):
+    # every entry of the ex1 truncation is at most 2.973 in modulus; circle
+    # extraction at radius 0.9 amplified rounding to ~1e7 (N=512) and ~1e30
+    m = assemble_matrix(EX1_PSI, EX1_PHI, P_HALF, n)
+    assert m.entries.dtype == np.float64
+    assert np.max(np.abs(m.entries)) <= 3.0
+    assert not np.any(np.triu(m.entries, 1))
+    assert m.warnings == ()
+
+
+def _exp_lft_coeffs(a, b, r, n):
+    """Coefficients of ``exp((a z + b)/(1 - r z))`` from the differential
+    equation ``(1 - r z)**2 h' = (a + r b) h`` in 60-digit arithmetic."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        a, b, r = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(r)
+        c = a + r * b
+        h = [mpmath.exp(b), c * mpmath.exp(b)]
+        for j in range(1, n - 1):
+            h.append(((2 * r * j + c) * h[j] - r * r * (j - 1) * h[j - 1]) / (j + 1))
+        return np.array([float(v) for v in h[:n]])
+
+
+def test_exx2_truncation_matches_independent_reference_at_512():
+    n, alpha, r, k = 512, 0.5, 0.5, 2.0
+    phi_c = _exp_lft_coeffs(r * k - 1.0, r - k, r, n)
+    cols = np.zeros((n, n))  # cols[:, k] = coefficients of psi * phi**k
+    cols[2, 0] = 1.0  # psi = z**2
+    for kk in range(1, n):
+        cols[:, kk] = np.convolve(cols[:, kk - 1], phi_c)[:n]
+    scale = (np.arange(n) + 1.0) ** ((alpha - 1.0) / 2.0)
+    want = cols * scale[None, :] / scale[:, None]
+    m = assemble_matrix(
+        catalog.polynomial([0.0, 0.0, 1.0]), catalog.phi_rk(r, k), SpaceParams(alpha), n
+    )
+    assert m.entries.dtype == np.float64
+    assert np.max(np.abs(m.entries - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_sampled_route_agrees_with_exact_route_within_col_errors():
+    # conjugating ex1 by z -> -z flips the sign of entry (j, k) by (-1)**(j+k);
+    # the conjugated symbols are sampled, so this compares the extraction
+    # fallback with exact coefficients.  At N = 128 the 0.9**-j amplified
+    # extraction noise (~5e-11) dominates rounding, so the extraction part
+    # of col_errors is what must cover it.
+    n = 128
+    exact = assemble_matrix(EX1_PSI, EX1_PHI, P_HALF, n)
+    zeta, eta = catalog.conjugate_to_origin(EX1_PSI, EX1_PHI, 0.0)
+    sampled = assemble_matrix(zeta, eta, P_HALF, n)
+    sign = (-1.0) ** np.add.outer(np.arange(n), np.arange(n))
+    dev = np.abs(sampled.entries - sign * exact.entries)
+    assert np.all(dev <= sampled.col_errors[None, :])
 
 
 def test_apply_operator_examples():

@@ -8,7 +8,6 @@ from wco.operator import assemble_matrix
 from wco.series import TaylorSeries
 from wco.spaces import SpaceParams, norm_sq_coeff
 from wco.spectral import (
-    LEADING_COUNT,
     conjugation_invariance_check,
     eigenpairs_as_series,
     match_spectra,
