@@ -37,7 +37,6 @@ from .operator import (
     matrix_apply,
 )
 from .series import (
-    ExtractionConfig,
     TaylorSeries,
     antiderivative,
     cauchy_product,

@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import FixedPointInconclusive, ParameterError, PreconditionError
 from .series import (
-    ExtractionConfig,
     TaylorSeries,
     derivative as series_derivative,
     evaluate,
@@ -49,10 +48,10 @@ class AnalyticFunction:
     from closed forms or recurrences rather than from samples; the array is
     float64 when every coefficient is real and complex128 otherwise.  Every
     catalog family has one; compositions, products and wrapped callables do
-    not, and their coefficients must be extracted from samples.  Metadata is
-    asserted by construction: ``claims_self_map`` promises
-    ``|f| <= 1 + 1e-9`` on validation grids, ``known_fixed_point`` promises
-    ``|f(a) - a| <= 1e-10``.
+    not.  :meth:`coefficients` is the one way to get coefficients of either
+    kind.  Metadata is asserted by construction: ``claims_self_map``
+    promises ``|f| <= 1 + 1e-9`` on validation grids, ``known_fixed_point``
+    promises ``|f(a) - a| <= 1e-10``.
     """
 
     label: str
@@ -74,6 +73,16 @@ class AnalyticFunction:
 
     def value(self, z):
         return self.jet(z).v
+
+    def coefficients(self, order: int) -> tuple[np.ndarray, float]:
+        """Taylor coefficients ``0..order`` and their extraction estimate:
+        ``taylor(order)`` with estimate 0 when the function has exact
+        coefficients, else one circle extraction of :meth:`value` with its
+        aliasing estimate (see :func:`wco.series.extract_coeffs`)."""
+        if self.taylor is not None:
+            return self.taylor(order), 0.0
+        series, est = extract_coeffs(self.value, order)
+        return series.coeffs, est
 
     def __call__(self, z):
         return self.value(z)
@@ -460,7 +469,7 @@ def factor_tau(phi: AnalyticFunction) -> AnalyticFunction:
 
     Requires ``phi(0) = 0``.  Away from the origin the jets follow from the
     quotient rule; inside ``|z| < 1e-4`` the removable singularity is handled
-    through a cached series extraction at radius 0.5.
+    through the series of ``tau``, built once from ``phi.coefficients(64)``.
     """
     j0 = phi.jet(0.0)
     if abs(j0.v) > 1e-10:
@@ -468,17 +477,9 @@ def factor_tau(phi: AnalyticFunction) -> AnalyticFunction:
             "phi(0) must vanish to factor phi(z) = z*tau(z); got |phi(0)| = %.3e"
             % abs(j0.v)
         )
-    cache: dict[str, TaylorSeries] = {}
-
-    def _series() -> tuple[TaylorSeries, TaylorSeries, TaylorSeries]:
-        if "tau" not in cache:
-            cfg = ExtractionConfig(sample_radius=0.5, sample_count=256)
-            phi_series, _ = extract_coeffs(lambda z: phi.raw_jet(z)[0], cfg, 64)
-            tau = TaylorSeries(phi_series.coeffs[1:])
-            cache["tau"] = tau
-            cache["tau1"] = d1 = series_derivative(tau)
-            cache["tau2"] = series_derivative(d1)
-        return cache["tau"], cache["tau1"], cache["tau2"]
+    tau = TaylorSeries(phi.coefficients(64)[0][1:])
+    tau1 = series_derivative(tau)
+    tau2 = series_derivative(tau1)
 
     def raw(z):
         v, d1, d2 = phi.raw_jet(z)
@@ -488,11 +489,10 @@ def factor_tau(phi: AnalyticFunction) -> AnalyticFunction:
         t1 = (d1 * zs - v) / zs**2
         t2 = (d2 * zs**2 - 2.0 * d1 * zs + 2.0 * v) / zs**3
         if np.any(small):
-            t, td1, td2 = _series()
             zin = np.where(small, z, 0.0)
-            tv = np.where(small, evaluate(t, zin), tv)
-            t1 = np.where(small, evaluate(td1, zin), t1)
-            t2 = np.where(small, evaluate(td2, zin), t2)
+            tv = np.where(small, evaluate(tau, zin), tv)
+            t1 = np.where(small, evaluate(tau1, zin), t1)
+            t2 = np.where(small, evaluate(tau2, zin), t2)
         return tv, t1, t2
 
     return AnalyticFunction(

@@ -21,9 +21,9 @@ from .errors import (
     PreconditionError,
     WcoError,
 )
-from .operator import adjoint_kernel_check, assemble_matrix, default_extraction_config
+from .operator import adjoint_kernel_check, assemble_matrix
 from .reportio import csv_line, render_json
-from .series import extract_coeffs
+from .series import TaylorSeries
 from .spaces import (
     QuadratureGrid,
     SpaceParams,
@@ -229,12 +229,8 @@ def cmd_norm_check(args) -> int:
     func = catalog.from_spec(args.func)
     p = SpaceParams(args.alpha)
     grid = QuadratureGrid.make(args.quad_r, args.quad_t)
-    series, est = extract_coeffs(
-        lambda z: func.raw_jet(z)[0],
-        default_extraction_config(args.n),
-        args.n - 1,
-    )
-    coeff = norm_sq_coeff(series, p, "dirichlet")
+    coeffs, est = func.coefficients(args.n - 1)
+    coeff = norm_sq_coeff(TaylorSeries(coeffs), p, "dirichlet")
     first = norm_sq_quadrature(func, p, grid, "first_derivative")
     second = norm_sq_quadrature(func, p, grid, "second_derivative")
     doc = {

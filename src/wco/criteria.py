@@ -151,7 +151,7 @@ def _quantities_on_annulus(psi, phi, alpha, grid, m):
     for tag, arr in vals.items():
         keep = arr[~np.isnan(arr)]
         out[tag] = float(np.max(keep)) if keep.size else 0.0
-    return out, int(np.count_nonzero(flagged))
+    return out, int(np.count_nonzero(flagged)), float(np.max(np.abs(f2)))
 
 
 def evaluate_quantities(
@@ -171,9 +171,11 @@ def evaluate_quantities(
         )
     per_tag = {tag: [] for tag in QUANTITY_TAGS}
     flagged = 0
+    phi_dd_max = []
     for m in grid.levels():
-        row, nflag = _quantities_on_annulus(psi, phi, p.alpha, grid, m)
+        row, nflag, dd_max = _quantities_on_annulus(psi, phi, p.alpha, grid, m)
         flagged += nflag
+        phi_dd_max.append(dd_max)
         for tag in QUANTITY_TAGS:
             per_tag[tag].append(row[tag])
     quantities = {}
@@ -208,10 +210,6 @@ def evaluate_quantities(
     )
     # characterization hypotheses: bounded psi'' quantity and an H-infinity
     # proxy for phi'' (stable annulus maxima), univalent phi, alpha in (0,1)
-    phi_dd_max = []
-    for m in grid.levels():
-        z = grid.points(m)
-        phi_dd_max.append(float(np.max(np.abs(phi.raw_jet(z)[2]))))
     phi_dd_level = classify_decay(np.array(phi_dd_max)) in (
         VERDICT_ZERO,
         VERDICT_LEVEL,

@@ -2,11 +2,11 @@
 
 Column ``k`` of the truncation holds the Taylor coefficients of
 ``psi * phi**k`` rescaled into the orthonormal basis.  The coefficients of
-``psi`` and ``phi`` are exact (``AnalyticFunction.taylor``) for every catalog
-family; a function without them (a composition, a product, a wrapped
-callable) gets them from one circle extraction.  The columns then follow by
-direct truncated convolution, so real symbols give real matrices and
-``phi(0) = 0`` gives an exactly lower-triangular one.  The whole assembly is
+``psi`` and ``phi`` come from ``AnalyticFunction.coefficients``: exact for
+every catalog family, one circle extraction for a function without exact
+ones (a composition, a product, a wrapped callable).  The columns then
+follow by direct truncated convolution, so real symbols give real matrices
+and ``phi(0) = 0`` gives an exactly lower-triangular one.  The whole assembly is
 deterministic for fixed inputs and a fixed BLAS thread count.
 """
 
@@ -21,26 +21,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .catalog import AnalyticFunction
 from .errors import NumericsError, ParameterError, PreconditionError
 from .series import (
-    ExtractionConfig,
+    SAMPLE_RADIUS,
     TaylorSeries,
-    aliasing_estimate,
-    circle_points,
-    dft_coefficient_rows,
     evaluate,
     extract_coeffs,
+    sample_count,
 )
 from .spaces import SpaceParams, kernel_coordinates, kernel_vector
-
-
-def _auto_sample_count(n: int) -> int:
-    count = 512
-    while count < 4 * (n + 1):
-        count *= 2
-    return count
-
-
-def default_extraction_config(n: int) -> ExtractionConfig:
-    return ExtractionConfig(sample_count=_auto_sample_count(n))
 
 
 @dataclass(frozen=True)
@@ -66,16 +53,6 @@ class OperatorMatrix:
     @property
     def size(self) -> int:
         return self.entries.shape[0]
-
-
-def _coefficients(f: AnalyticFunction, cfg: ExtractionConfig, n: int):
-    """Coefficients ``0..n-1`` of ``f`` and the extraction estimate of each:
-    exact with estimate 0 when ``f`` has ``taylor``, else one circle
-    extraction with its aliasing estimate."""
-    if f.taylor is not None:
-        return f.taylor(n - 1), 0.0
-    series, est = extract_coeffs(f.value, cfg, n - 1)
-    return series.coeffs, est
 
 
 def _lower_toeplitz(c: np.ndarray) -> np.ndarray:
@@ -129,9 +106,9 @@ def assemble_matrix(
 ) -> OperatorMatrix:
     """Assemble the N x N truncation of ``f -> psi * (f o phi)``.
 
-    Coefficients ``0..N-1`` of each symbol come from its ``taylor`` or, when
-    it has none, from one circle extraction at the default radius; column
-    ``k`` is then ``psi * phi**k`` by direct truncated convolution.
+    Coefficients ``0..N-1`` of each symbol come from
+    ``AnalyticFunction.coefficients`` (exact, or one circle extraction);
+    column ``k`` is then ``psi * phi**k`` by direct truncated convolution.
 
     ``col_errors[k]`` is the first-order bound ``p**k e_psi +
     2 k a p**(k-1) e_phi`` on the coefficient error of column ``k``, scaled
@@ -154,9 +131,8 @@ def assemble_matrix(
             "phi is not a verified self-map of the disc; the operator "
             "truncation is only meaningful for self-maps"
         )
-    cfg = default_extraction_config(n)
-    psi_c, psi_est = _coefficients(psi, cfg, n)
-    phi_c, phi_est = _coefficients(phi, cfg, n)
+    psi_c, psi_est = psi.coefficients(n - 1)
+    phi_c, phi_est = phi.coefficients(n - 1)
     if not np.any(psi_c):
         raise PreconditionError(
             "psi has no nonzero Taylor coefficient below order %d; the zero "
@@ -188,8 +164,8 @@ def assemble_matrix(
         psi_label=psi.label,
         phi_label=phi.label,
         col_errors=err * wk * np.max(wj),
-        sample_radius=cfg.sample_radius if sampled else None,
-        sample_count=cfg.sample_count if sampled else None,
+        sample_radius=SAMPLE_RADIUS if sampled else None,
+        sample_count=sample_count(n - 1) if sampled else None,
         warnings=warnings,
     )
 
@@ -201,7 +177,8 @@ def apply_operator(
     p: SpaceParams,
     n: int,
 ) -> tuple[TaylorSeries, float]:
-    """Coefficients of ``psi * (f o phi)`` extracted from the point evaluator.
+    """Coefficients ``0..N-1`` of ``psi * (f o phi)`` extracted from the
+    point evaluator, with the aliasing estimate.
 
     Independent of the matrix route: the truncated ``f`` is evaluated at
     ``phi`` of the circle samples directly.
@@ -212,15 +189,7 @@ def apply_operator(
             "phi is not a verified self-map of the disc; composition with f "
             "requires one"
         )
-    cfg = default_extraction_config(n)
-    z = circle_points(cfg.sample_radius, cfg.sample_count)
-    vals = np.asarray(psi.value(z), dtype=np.complex128) * evaluate(
-        f, np.asarray(phi.value(z), dtype=np.complex128)
-    )
-    if not np.all(np.isfinite(vals.view(np.float64))):
-        raise PreconditionError("evaluator not analytic on sampling circle")
-    coeffs = dft_coefficient_rows(vals, cfg.sample_radius, n - 1)[0]
-    return TaylorSeries(coeffs), aliasing_estimate(coeffs)
+    return extract_coeffs(lambda z: psi.value(z) * evaluate(f, phi.value(z)), n - 1)
 
 
 def matrix_apply(m: OperatorMatrix, f: TaylorSeries) -> TaylorSeries:

@@ -1,9 +1,10 @@
 """Truncated Taylor series arithmetic and circle-sampling coefficient extraction.
 
 A :class:`TaylorSeries` is the finite expansion ``sum_{n=0}^{order} c_n z^n``
-about the origin with complex coefficients.  Coefficients of analytic point
-evaluators are recovered by sampling on one circle ``|z| = rho`` and applying
-a single FFT; the aliasing indicator (the largest coefficient in the top
+about the origin with complex coefficients.  Coefficients of an analytic
+point evaluator that has no exact ones are recovered by sampling the one
+circle ``|z| = SAMPLE_RADIUS`` at :func:`sample_count` points and applying a
+single FFT; the aliasing indicator (the largest coefficient in the top
 quarter of the extracted range) is always returned next to the series, never
 discarded.
 """
@@ -17,10 +18,11 @@ import numpy as np
 
 from .errors import ParameterError, PreconditionError
 
-# rho**(-order) amplifies the rounding of the samples; beyond e**219.7 (about
-# 1e95) the coefficients are noise.  At the default radius 0.9 this admits
-# orders up to 2085: N <= 2086 for norm-check and for truncations whose
+# The one extraction circle.  rho**(-order) amplifies the rounding of the
+# samples; beyond e**219.7 (about 1e95) the coefficients are noise.  At
+# radius 0.9 this admits orders up to 2085: N <= 2086 for truncations whose
 # symbols have no exact coefficients.
+SAMPLE_RADIUS = 0.9
 _LOG_AMPLIFICATION_LIMIT = 219.7
 
 
@@ -51,24 +53,13 @@ class TaylorSeries:
         )
 
 
-@dataclass(frozen=True)
-class ExtractionConfig:
-    """Sampling policy for circle-based coefficient extraction.
-
-    Each extraction samples only the circle ``|z| = sample_radius``.
-    ``sample_count`` must be a power of two exceeding twice the order of any
-    series extracted with it.
-    """
-
-    sample_radius: float = 0.9
-    sample_count: int = 1024
-
-    def __post_init__(self):
-        if not (0.0 < self.sample_radius < 1.0):
-            raise ParameterError("sample_radius must lie in (0, 1)")
-        m = self.sample_count
-        if m <= 0 or (m & (m - 1)) != 0:
-            raise ParameterError("sample_count must be a positive power of two")
+def sample_count(order: int) -> int:
+    """Samples for an extraction up to ``order``: the smallest power of two
+    that is at least 512 and at least ``4 * (order + 2)``."""
+    count = 512
+    while count < 4 * (order + 2):
+        count *= 2
+    return count
 
 
 def cauchy_product(f: TaylorSeries, g: TaylorSeries) -> TaylorSeries:
@@ -165,27 +156,23 @@ def aliasing_estimate(coeffs: np.ndarray) -> float:
     return float(np.max(np.abs(coeffs[..., start:])))
 
 
-def extract_coeffs(
-    f, cfg: ExtractionConfig, order: int
-) -> tuple[TaylorSeries, float]:
-    """Recover Taylor coefficients of a point evaluator by circle sampling.
+def extract_coeffs(f, order: int) -> tuple[TaylorSeries, float]:
+    """Recover Taylor coefficients ``0..order`` of a point evaluator by
+    sampling the circle ``|z| = SAMPLE_RADIUS`` at ``sample_count(order)``
+    points.
 
     ``f`` must accept an ndarray of complex points inside the disc and return
     the values elementwise.  Returns the truncated series together with the
-    aliasing indicator for the extraction.
+    aliasing indicator for the extraction.  Functions with exact coefficients
+    should go through ``AnalyticFunction.coefficients`` instead.
     """
     if order < 0:
         raise ParameterError("order must be nonnegative")
-    if cfg.sample_count < 2 * (order + 1):
-        raise PreconditionError(
-            "sample_count %d is below 2*(order+1)=%d"
-            % (cfg.sample_count, 2 * (order + 1))
-        )
-    z = circle_points(cfg.sample_radius, cfg.sample_count)
+    z = circle_points(SAMPLE_RADIUS, sample_count(order))
     vals = np.asarray(f(z), dtype=np.complex128)
     if vals.shape != z.shape:
         vals = np.broadcast_to(vals, z.shape)
     if not np.all(np.isfinite(vals)):
         raise PreconditionError("evaluator not analytic on sampling circle")
-    coeffs = dft_coefficient_rows(vals, cfg.sample_radius, order)[0]
+    coeffs = dft_coefficient_rows(vals, SAMPLE_RADIUS, order)[0]
     return TaylorSeries(coeffs), aliasing_estimate(coeffs)

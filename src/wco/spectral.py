@@ -2,9 +2,12 @@
 
 When the symbol ``phi`` fixes an interior point ``a`` with ``|phi'(a)| < 1``,
 the compact-operator spectrum is the geometric family
-``psi(a) * phi'(a)**n`` together with 0.  Verification always runs two
-routes: dense eigenvalues of the plain truncation and the exact diagonal of
-the Mobius-conjugated triangular truncation.
+``psi(a) * phi'(a)**n`` together with 0.  :func:`spectrum_study` checks it
+against dense eigenvalues of the plain truncation and of its leading
+blocks.  :func:`conjugation_invariance_check` adds a second route: the
+diagonal of the Mobius-conjugated truncation, which is triangular because
+the conjugated symbol fixes the origin; its symbols have no exact
+coefficients, so that truncation is assembled from circle samples.
 """
 
 from __future__ import annotations
@@ -213,6 +216,10 @@ def spectrum_study(
 ) -> SpectrumReport:
     """Predict, truncate at N/4, N/2 and N, and reconcile.
 
+    One truncation is assembled, at the largest size; the smaller ones are
+    its leading blocks, since coefficient ``j`` of column ``k`` does not
+    depend on the truncation size.
+
     The tolerance profile at the final size is derived from the observed
     errors one size down: a mode passes when its error is absolutely small
     (1e-6 relative to the leading prediction scale) or has improved by at
@@ -226,8 +233,9 @@ def spectrum_study(
     rows = []
     errors_by_size = {}
     final_eig = None
+    entries = assemble_matrix(psi, phi, p, sizes[-1]).entries
     for size in sizes:
-        eig = truncated_eigenvalues(assemble_matrix(psi, phi, p, size))
+        eig = truncated_eigenvalues(entries[:size, :size])
         interim = match_spectra(pred, eig, tol_profile=(np.inf,) * LEADING_COUNT)
         head = interim.matches[: min(LEADING_COUNT, len(interim.matches))]
         if pred.quasi_nilpotent:
@@ -266,15 +274,14 @@ def schroder_residual(
     phi: AnalyticFunction,
     lam: complex,
     f: TaylorSeries,
-    sample_radius: float = 0.5,
-    sample_count: int = 128,
 ) -> float:
-    """Max of ``|psi(z) f(phi(z)) - lam f(z)|`` on the circle ``|z| = rho``.
+    """Max of ``|psi(z) f(phi(z)) - lam f(z)|`` at 128 points of the circle
+    ``|z| = 0.5``.
 
     ``f`` is expected to be normalized to unit norm in the ambient space
     coordinates; the residual itself is norm-free.
     """
-    z = circle_points(sample_radius, sample_count)
+    z = circle_points(0.5, 128)
     lhs = np.asarray(psi.value(z)) * evaluate(f, np.asarray(phi.value(z)))
     rhs = complex(lam) * evaluate(f, z)
     return float(np.max(np.abs(lhs - rhs)))
@@ -327,7 +334,10 @@ def conjugation_invariance_check(
 
     Route one: dense eigenvalues of the plain truncation.  Route two: the
     conjugated symbol fixes the origin, so its truncation is triangular and
-    the diagonal is read off exactly.
+    the predicted spectrum is read off its diagonal.  The conjugated symbols
+    are compositions without exact coefficients, so that truncation is
+    assembled from one circle extraction per symbol and its diagonal
+    carries the extraction error.
     """
     pred = predict_spectrum(psi, phi, p, count=min(n, 12))
     zeta, eta = conjugate_to_origin(psi, phi, a)

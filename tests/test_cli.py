@@ -1,8 +1,10 @@
 import json
+import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 CMD = [sys.executable, "-m", "wco"]
@@ -108,14 +110,28 @@ def test_norm_check_reports_both_variants():
 
 
 @pytest.mark.parametrize("n", ["2087", "3000", "4096"])
-def test_sizes_past_extraction_limit_exit_two(n):
-    # N = 2086 is the largest size whose coefficients the default radius
-    # can extract; norm-check reaches that limit without assembling a matrix
-    proc = run(
+def test_norm_check_runs_past_extraction_limit(n):
+    # catalog functions have exact coefficients, so norm-check is not bound
+    # by the N <= 2086 limit of circle extraction; |z**2|^2 = 3**(1/2)
+    doc = run_json(
         "norm-check", "--alpha", "0.5", "--f", "polynomial:0,0,1", "--N", n
     )
-    assert proc.returncode == 2
-    assert b"too small for order" in proc.stderr
+    assert doc["coefficient_norm_sq"] == math.sqrt(3.0)
+    assert doc["extraction_estimate"] == 0.0
+
+
+def test_norm_check_matches_high_precision_coefficients():
+    # exx2's symbol phi_rk(0.5, 2) = exp((z*0 - 1.5)/(1 - z/2)); its
+    # coefficients from the 60-digit ODE recurrence give the reference norm
+    from test_operator import _exp_lft_coeffs
+
+    n = 256
+    h = _exp_lft_coeffs(0.0, -1.5, 0.5, n)
+    want = float(np.sum((np.arange(n) + 1.0) ** 0.5 * h**2))
+    doc = run_json(
+        "norm-check", "--alpha", "0.5", "--f", "phi_rk:r=0.5,k=2", "--N", str(n)
+    )
+    assert abs(doc["coefficient_norm_sq"] - want) <= 1e-13 * want
 
 
 def test_catalog_pairs_assemble_past_extraction_limit():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wco import catalog
-from wco.errors import PreconditionError
+from wco.errors import ParameterError, PreconditionError
 from wco.operator import (
     adjoint_kernel_check,
     apply_operator,
@@ -13,7 +13,7 @@ from wco.operator import (
     export_matrix_json,
     matrix_apply,
 )
-from wco.series import ExtractionConfig, TaylorSeries, dft_coefficient_rows
+from wco.series import SAMPLE_RADIUS, TaylorSeries, dft_coefficient_rows
 from wco.spaces import SpaceParams
 
 ONE = catalog.polynomial([1.0])
@@ -78,7 +78,6 @@ def test_assemble_warns_on_slow_tails():
 
 
 def test_one_extraction_per_call(monkeypatch):
-    import wco.operator
     import wco.series
 
     calls = []
@@ -88,7 +87,6 @@ def test_one_extraction_per_call(monkeypatch):
         return dft_coefficient_rows(*args, **kwargs)
 
     monkeypatch.setattr(wco.series, "dft_coefficient_rows", counting)
-    monkeypatch.setattr(wco.operator, "dft_coefficient_rows", counting)
     # catalog symbols have exact coefficients: no circle is sampled
     m = assemble_matrix(EX1_PSI, EX1_PHI, P_HALF, 64)
     assert calls == [] and m.sample_radius is None and m.sample_count is None
@@ -96,7 +94,7 @@ def test_one_extraction_per_call(monkeypatch):
     zeta, eta = catalog.conjugate_to_origin(EX1_PSI, EX1_PHI, 0.0)
     m = assemble_matrix(zeta, eta, P_HALF, 64)
     assert len(calls) == 2
-    assert m.sample_radius == ExtractionConfig().sample_radius == 0.9
+    assert m.sample_radius == SAMPLE_RADIUS == 0.9 and m.sample_count == 512
     assemble_matrix(zeta, EX1_PHI, P_HALF, 64)
     assert len(calls) == 3
     apply_operator(EX1_PSI, EX1_PHI, TaylorSeries([1.0, 0.5]), P_HALF, 64)
@@ -141,6 +139,14 @@ def test_exx2_truncation_matches_independent_reference_at_512():
     )
     assert m.entries.dtype == np.float64
     assert np.max(np.abs(m.entries - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_sampled_symbols_fail_loudly_past_extraction_limit():
+    # a symbol without exact coefficients is sampled at radius 0.9, whose
+    # rounding amplification 0.9**-j admits N <= 2086; past it, refuse
+    sampled = catalog.custom("one", np.ones_like, np.zeros_like, np.zeros_like)
+    with pytest.raises(ParameterError, match="too small for order"):
+        assemble_matrix(sampled, EX1_PHI, P_HALF, 2087)
 
 
 def test_sampled_route_agrees_with_exact_route_within_col_errors():

@@ -7,13 +7,16 @@ from hypothesis import strategies as st
 
 from wco.errors import ParameterError, PreconditionError
 from wco.series import (
-    ExtractionConfig,
+    SAMPLE_RADIUS,
     TaylorSeries,
     antiderivative,
     cauchy_product,
+    circle_points,
     derivative,
+    dft_coefficient_rows,
     evaluate,
     extract_coeffs,
+    sample_count,
 )
 
 
@@ -131,60 +134,61 @@ def test_evaluate_vectorized():
 
 
 def test_extract_monomial():
-    cfg = ExtractionConfig(sample_radius=0.5, sample_count=64)
-    series, est = extract_coeffs(lambda z: z**2, cfg, 8)
+    series, est = extract_coeffs(lambda z: z**2, 8)
     expected = np.zeros(9)
     expected[2] = 1
     assert np.max(np.abs(series.coeffs - expected)) <= 1e-13
 
 
 def test_extract_geometric():
-    cfg = ExtractionConfig(sample_radius=0.9, sample_count=256)
-    series, _ = extract_coeffs(lambda z: 1.0 / (1.0 - z / 2.0), cfg, 32)
+    series, _ = extract_coeffs(lambda z: 1.0 / (1.0 - z / 2.0), 32)
     assert np.max(np.abs(series.coeffs - 0.5 ** np.arange(33))) <= 1e-10
 
 
 def test_extract_exponential():
-    cfg = ExtractionConfig(sample_radius=0.5, sample_count=128)
-    series, _ = extract_coeffs(np.exp, cfg, 16)
+    series, _ = extract_coeffs(np.exp, 16)
     expected = np.array([1.0 / math.factorial(n) for n in range(17)])
     assert np.max(np.abs(series.coeffs - expected)) <= 1e-12
 
 
 def test_extract_reports_aliasing_estimate():
-    cfg = ExtractionConfig(sample_radius=0.75, sample_count=64)
-    _, est = extract_coeffs(lambda z: 1.0 / (1.0 - 0.9 * z), cfg, 16)
+    _, est = extract_coeffs(lambda z: 1.0 / (1.0 - 0.9 * z), 16)
     assert est > 1e-6  # geometric tail at 0.9 leaves visible top-quarter mass
 
 
 def test_extract_rejects_nonfinite_samples():
-    cfg = ExtractionConfig(sample_radius=0.75, sample_count=64)
     with pytest.raises(PreconditionError, match="not analytic"):
-        extract_coeffs(lambda z: np.full_like(z, np.nan), cfg, 8)
+        extract_coeffs(lambda z: np.full_like(z, np.nan), 8)
 
 
 def test_extract_rejects_undersampling():
-    cfg = ExtractionConfig(sample_radius=0.5, sample_count=16)
+    # 16 samples cannot resolve order 8; extract_coeffs sizes its own circle
+    # (sample_count), so only the DFT step can be handed too few samples
+    z = circle_points(0.5, 16)
     with pytest.raises(PreconditionError):
-        extract_coeffs(lambda z: z, cfg, 8)
+        dft_coefficient_rows(z, 0.5, 8)
+
+
+def test_sample_count_is_a_power_of_two_covering_four_times_the_order():
+    assert [sample_count(n) for n in (0, 8, 126, 127, 2085)] == [
+        512, 512, 512, 1024, 16384
+    ]
 
 
 def test_extract_rejects_amplification_past_order_2085():
-    # at the default radius 0.9, radius**-order may amplify the sample
-    # rounding up to order 2085 (N = 2086 truncations); beyond, fail loudly
-    cfg = ExtractionConfig(sample_count=8192)
-    extract_coeffs(lambda z: z, cfg, 2085)
+    # at radius 0.9, radius**-order may amplify the sample rounding up to
+    # order 2085 (N = 2086 truncations); beyond, fail loudly
+    extract_coeffs(lambda z: z, 2085)
     with pytest.raises(ParameterError, match="too small for order 2086"):
-        extract_coeffs(lambda z: z, cfg, 2086)
+        extract_coeffs(lambda z: z, 2086)
 
 
 @settings(max_examples=30)
 @given(int_poly)
 def test_extract_roundtrips_polynomials(coeffs):
     f = TaylorSeries(coeffs)
-    cfg = ExtractionConfig(sample_radius=0.75, sample_count=64)
     order = 2 * f.order + 2
-    got, est = extract_coeffs(lambda z: evaluate(f, z), cfg, order)
+    got, est = extract_coeffs(lambda z: evaluate(f, z), order)
     scale = 1 + np.max(np.abs(f.coeffs))
     assert np.max(np.abs(got.coeffs[: f.order + 1] - f.coeffs)) <= max(
         est, 1e-12
@@ -195,14 +199,13 @@ def test_extract_roundtrips_polynomials(coeffs):
 @settings(max_examples=20)
 @given(int_poly, int_poly, int_coeff, int_coeff)
 def test_extract_is_linear(a, b, ca, cb):
-    cfg = ExtractionConfig(sample_radius=0.75, sample_count=64)
     fa = TaylorSeries(a)
     fb = TaylorSeries(b)
     lhs, _ = extract_coeffs(
-        lambda z: ca * evaluate(fa, z) + cb * evaluate(fb, z), cfg, 8
+        lambda z: ca * evaluate(fa, z) + cb * evaluate(fb, z), 8
     )
-    ra, _ = extract_coeffs(lambda z: evaluate(fa, z), cfg, 8)
-    rb, _ = extract_coeffs(lambda z: evaluate(fb, z), cfg, 8)
+    ra, _ = extract_coeffs(lambda z: evaluate(fa, z), 8)
+    rb, _ = extract_coeffs(lambda z: evaluate(fb, z), 8)
     scale = 1 + abs(ca) * np.max(np.abs(ra.coeffs)) + abs(cb) * np.max(np.abs(rb.coeffs))
     assert np.max(np.abs(lhs.coeffs - ca * ra.coeffs - cb * rb.coeffs)) <= 1e-12 * scale
 
@@ -214,23 +217,13 @@ def test_small_and_large_dft_paths_agree():
     # the recovered coefficients must not depend on the sample count
     # (64 vs 65536 points on the same circle)
     f = TaylorSeries([1.0, -2.0, 0.5j, 3.0, -1.0 + 1j])
-    small, _ = extract_coeffs(
-        lambda z: evaluate(f, z), ExtractionConfig(sample_count=64), 8
+    small, large = (
+        dft_coefficient_rows(
+            evaluate(f, circle_points(SAMPLE_RADIUS, m)), SAMPLE_RADIUS, 8
+        )[0]
+        for m in (64, 65536)
     )
-    large, _ = extract_coeffs(
-        lambda z: evaluate(f, z), ExtractionConfig(sample_count=65536), 8
-    )
-    assert np.max(np.abs(small.coeffs - large.coeffs)) <= 1e-12
-
-
-def test_config_rejects_bad_radius():
-    with pytest.raises(ParameterError):
-        ExtractionConfig(sample_radius=1.0)
-
-
-def test_config_rejects_non_power_of_two():
-    with pytest.raises(ParameterError):
-        ExtractionConfig(sample_count=100)
+    assert np.max(np.abs(small - large)) <= 1e-12
 
 
 def test_series_rejects_nan():
