@@ -4,26 +4,23 @@ Every function carries hand-derived first and second derivatives next to its
 value (a :class:`Jet2`), because the boundedness and compactness quantities
 involve second derivatives near the boundary where difference quotients lose
 accuracy.  Each family also carries its exact Taylor coefficients about the
-origin (``AnalyticFunction.taylor``), from which matrix truncations are
+origin (``AnalyticFunction.taylor``) and its composition with a power series
+(``AnalyticFunction.compose``), from which matrix truncations are
 assembled.  The families are addressable by spec strings such as
 ``"phi_rk:r=0.5,k=2"`` or ``"polynomial:0.5,0,0.5"``.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import FixedPointInconclusive, ParameterError, PreconditionError
-from .series import (
-    TaylorSeries,
-    derivative as series_derivative,
-    evaluate,
-    extract_coeffs,
-)
+from .series import TaylorSeries, derivative as series_derivative, evaluate
 
 _SELF_MAP_BOUNDARY_SAMPLES = 4096
 _SELF_MAP_SLACK = 1e-9
@@ -43,15 +40,16 @@ class AnalyticFunction:
     """A disc-analytic function with jet evaluation and catalog metadata.
 
     ``raw_jet`` maps an ndarray of points to the ``(value, d1, d2)`` triple;
-    it must be vectorized and pure.  ``taylor``, when present, maps an order
-    to the exact Taylor coefficients ``0..order`` about the origin, computed
-    from closed forms or recurrences rather than from samples; the array is
-    float64 when every coefficient is real and complex128 otherwise.  Every
-    catalog family has one; compositions, products and wrapped callables do
-    not.  :meth:`coefficients` is the one way to get coefficients of either
-    kind.  Metadata is asserted by construction: ``claims_self_map``
-    promises ``|f| <= 1 + 1e-9`` on validation grids, ``known_fixed_point``
-    promises ``|f(a) - a| <= 1e-10``.
+    it must be vectorized and pure.  ``taylor(order)`` gives the exact Taylor
+    coefficients ``0..order`` about the origin and ``compose(g)`` those of
+    ``f(g(w))`` for the coefficients ``g`` of a disc-valued power series
+    (``g = [c, 1, 0, ...]`` recentres at ``c``), from closed forms and
+    recurrences rather than samples: float64 for real parameters and input,
+    else complex128.  Every function built here has both (``tau`` only
+    ``taylor``); :meth:`coefficients` is the one way to get coefficients.
+    Metadata is asserted by construction: ``claims_self_map`` promises
+    ``|f| <= 1 + 1e-9`` on validation grids, ``known_fixed_point`` promises
+    ``|f(a) - a| <= 1e-10``.
     """
 
     label: str
@@ -61,6 +59,9 @@ class AnalyticFunction:
     known_fixed_point: Optional[complex] = None
     boundary_continuous: bool = True
     taylor: Optional[Callable[[int], np.ndarray]] = field(
+        default=None, repr=False, compare=False
+    )
+    compose: Optional[Callable[[np.ndarray], np.ndarray]] = field(
         default=None, repr=False, compare=False
     )
 
@@ -74,15 +75,15 @@ class AnalyticFunction:
     def value(self, z):
         return self.jet(z).v
 
-    def coefficients(self, order: int) -> tuple[np.ndarray, float]:
-        """Taylor coefficients ``0..order`` and their extraction estimate:
-        ``taylor(order)`` with estimate 0 when the function has exact
-        coefficients, else one circle extraction of :meth:`value` with its
-        aliasing estimate (see :func:`wco.series.extract_coeffs`)."""
-        if self.taylor is not None:
-            return self.taylor(order), 0.0
-        series, est = extract_coeffs(self.value, order)
-        return series.coeffs, est
+    def coefficients(self, order: int) -> np.ndarray:
+        """Taylor coefficients ``0..order`` about the origin, ``taylor(order)``;
+        :class:`PreconditionError` when the function has no ``taylor``."""
+        if self.taylor is None:
+            raise PreconditionError(
+                "%s has no exact Taylor coefficients; wrap it with "
+                "custom(..., taylor=...)" % self.label
+            )
+        return self.taylor(order)
 
     def __call__(self, z):
         return self.value(z)
@@ -100,8 +101,27 @@ def _fmt_param(x) -> str:
     return repr(xc.real) + ("+" if xc.imag >= 0 else "-") + repr(abs(xc.imag)) + "i"
 
 
-def _polynomial_taylor(coeffs):
-    """``taylor`` of the polynomial with ascending coefficients ``coeffs``."""
+# ``compose`` uses Horner's scheme, series division and J.C.P. Miller's
+# recurrences for exp and powers (Henrici, Applied and Computational Complex
+# Analysis I, section 1.6), whose rounding stays at the scale of the result.
+# Summing a family's series recentred at g(0) over the powers of g - g(0)
+# cancels instead: for (1-z)**2.5 after the automorphism swapping 0 and 0.19
+# it leaves coefficient 255 off by 3e11, the recurrence by 1e-23.
+
+
+def _exp_series(e0, de: np.ndarray) -> np.ndarray:
+    """Coefficients ``0..de.size`` of ``exp(e)`` from ``e_0`` and ``de[k-1] =
+    k e_k``, by ``n h_n = sum_{k=1..n} k e_k h_{n-k}`` (from ``h' = e' h``)."""
+    h = np.empty(de.size + 1, dtype=np.result_type(de, e0))
+    h[0] = cmath.exp(e0) if isinstance(e0, complex) else math.exp(e0)
+    for m in range(1, h.size):
+        h[m] = np.dot(de[:m], h[m - 1 :: -1]) / m
+    return h
+
+
+def _polynomial_series(coeffs) -> dict:
+    """``taylor`` and ``compose`` of the polynomial with ascending
+    coefficients ``coeffs``; ``compose`` is Horner's scheme."""
     c = np.asarray(coeffs, dtype=np.complex128)
     if not np.any(c.imag):
         c = c.real.copy()
@@ -111,7 +131,39 @@ def _polynomial_taylor(coeffs):
         out[: min(c.size, order + 1)] = c[: order + 1]
         return out
 
-    return taylor
+    def compose(g):
+        out = np.zeros(g.size, dtype=np.result_type(c, g))
+        out[0] = c[-1]
+        for ck in c[-2::-1]:
+            out = np.convolve(out, g)[: g.size]
+            out[0] += ck
+        return out
+
+    return {"taylor": taylor, "compose": compose}
+
+
+def _lft_series(g0, g1, t) -> dict:
+    """``taylor`` and ``compose`` of the fractional linear map
+    ``g0 + g1*z/(1 - t*z)``, ``|t| < 1``: the geometric series ``c_0 = g0``,
+    ``c_n = g1 t**(n-1)``, and ``g0 + g1 g/(1 - t g)`` by series division."""
+
+    def taylor(order):
+        tail = g1 * t ** np.arange(order)
+        out = np.empty(order + 1, dtype=np.result_type(tail, g0))
+        out[0] = g0
+        out[1:] = tail
+        return out
+
+    def compose(g):
+        # g0 + g1 q, where q (1 - t g) = g is solved by forward substitution
+        q = np.empty(g.size, dtype=np.result_type(g, t))
+        for n in range(g.size):
+            q[n] = (g[n] + t * np.dot(g[n:0:-1], q[:n])) / (1.0 - t * g[0])
+        out = g1 * q
+        out[0] += g0
+        return out
+
+    return {"taylor": taylor, "compose": compose}
 
 
 def mobius_self_map(lam: float) -> AnalyticFunction:
@@ -129,19 +181,13 @@ def mobius_self_map(lam: float) -> AnalyticFunction:
         d = 1.0 - b * z
         return lam * z / d, lam / d**2, 2.0 * lam * b / d**3
 
-    def taylor(order):
-        # geometric series: c_0 = 0, c_j = lam * b**(j-1)
-        out = np.zeros(order + 1)
-        out[1:] = lam * b ** np.arange(order)
-        return out
-
     return AnalyticFunction(
         label="mobius_self_map:lambda=%s" % _fmt_param(lam),
         raw_jet=raw,
         claims_self_map=True,
         claims_univalent=True,
         known_fixed_point=0.0 + 0.0j,
-        taylor=taylor,
+        **_lft_series(0.0, lam, b),
     )
 
 
@@ -158,25 +204,21 @@ def _exp_lft_jet(a_num: complex, b_num: complex, r: float):
     return raw
 
 
-def _exp_lft_taylor(a_num: float, b_num: float, r: float):
-    """``taylor`` of ``exp(g)``, ``g = (a*z + b)/(1 - r*z)``.
-
-    ``g_0 = b`` and ``g_j = (a + r*b) r**(j-1)``; the coefficients of
-    ``h = exp(g)`` follow from ``h' = g' h`` as J.C.P. Miller's recurrence
-    ``n h_n = sum_{k=1..n} k g_k h_{n-k}`` (Henrici, Applied and
-    Computational Complex Analysis I, section 1.6).
-    """
+def _exp_lft_series(a_num: float, b_num: float, r: float) -> dict:
+    """``taylor`` and ``compose`` of ``exp(g)``, ``g = (a*z + b)/(1 - r*z)
+    = b + (a + r*b) z/(1 - r*z)``: Miller's recurrence on ``g_0 = b``,
+    ``g_j = (a + r*b) r**(j-1)``, or on ``g`` composed by series division."""
+    lft = _lft_series(b_num, a_num + r * b_num, r)["compose"]
 
     def taylor(order):
-        j = np.arange(order + 1)
-        jg = j * (a_num + r * b_num) * r ** (j - 1.0)
-        h = np.empty(order + 1)
-        h[0] = math.exp(b_num)
-        for m in range(1, order + 1):
-            h[m] = np.dot(jg[1 : m + 1], h[m - 1 :: -1]) / m
-        return h
+        j = np.arange(1, order + 1)
+        return _exp_series(b_num, j * (a_num + r * b_num) * r ** (j - 1.0))
 
-    return taylor
+    def compose(g):
+        e = lft(g)
+        return _exp_series(e[0], np.arange(1, e.size) * e[1:])
+
+    return {"taylor": taylor, "compose": compose}
 
 
 def phi_rk(r: float, k: float) -> AnalyticFunction:
@@ -196,7 +238,7 @@ def phi_rk(r: float, k: float) -> AnalyticFunction:
         raw_jet=_exp_lft_jet(r * k - 1.0, r - k, r),
         claims_self_map=True,
         claims_univalent=True,
-        taylor=_exp_lft_taylor(r * k - 1.0, r - k, r),
+        **_exp_lft_series(r * k - 1.0, r - k, r),
     )
 
 
@@ -214,7 +256,7 @@ def phi_r1(r: float) -> AnalyticFunction:
         raw_jet=_exp_lft_jet(r - 1.0, r - 1.0, r),
         claims_self_map=True,
         claims_univalent=True,
-        taylor=_exp_lft_taylor(r - 1.0, r - 1.0, r),
+        **_exp_lft_series(r - 1.0, r - 1.0, r),
     )
 
 
@@ -243,12 +285,25 @@ def psi_power(beta: float) -> AnalyticFunction:
         ratios[1:] = (np.arange(order) - beta) / np.arange(1.0, order + 1)
         return np.cumprod(ratios)
 
+    def compose(g):
+        # p = h**beta, h = 1 - g, by Miller's recurrence from h p' = beta h' p:
+        # n h_0 p_n = -sum_{k=1..n} ((beta+1) k - n) g_k p_{n-k}
+        h0 = 1.0 - g[0]
+        p = np.empty(g.size, dtype=g.dtype)
+        p[0] = h0**beta
+        k = np.arange(1, g.size)
+        for n in range(1, g.size):
+            weights = (beta + 1.0) * k[:n] - n
+            p[n] = -np.dot(weights * g[1 : n + 1], p[n - 1 :: -1]) / (n * h0)
+        return p
+
     return AnalyticFunction(
         label="psi_power:beta=%s" % _fmt_param(beta),
         raw_jet=raw,
         claims_self_map=False,
         claims_univalent=beta <= 2.0,
         taylor=taylor,
+        compose=compose,
     )
 
 
@@ -289,7 +344,7 @@ def polynomial(coeffs) -> AnalyticFunction:
         raw_jet=raw,
         claims_self_map=sup <= 1.0 + _SELF_MAP_SLACK,
         claims_univalent=arr.size == 2 and arr[1] != 0,
-        taylor=_polynomial_taylor(arr),
+        **_polynomial_series(arr),
     )
 
 
@@ -308,7 +363,7 @@ def affine(c0, c1) -> AnalyticFunction:
         claims_self_map=abs(c0) + abs(c1) <= 1.0 + 1e-12,
         claims_univalent=c1 != 0,
         known_fixed_point=fixed,
-        taylor=_polynomial_taylor([c0, c1]),
+        **_polynomial_series([c0, c1]),
     )
 
 
@@ -319,7 +374,7 @@ def identity() -> AnalyticFunction:
         claims_self_map=True,
         claims_univalent=True,
         known_fixed_point=0.0 + 0.0j,
-        taylor=_polynomial_taylor([0.0, 1.0]),
+        **_polynomial_series([0.0, 1.0]),
     )
 
 
@@ -363,20 +418,14 @@ class MobiusAutomorphism:
 
         s = a.real if a.imag == 0.0 else a  # a real a gives real coefficients
 
-        def taylor(order):
-            # (a - z) * sum (conj(a) z)**n: c_0 = a, c_n = (|a|^2 - 1) conj(a)**(n-1)
-            out = np.empty(order + 1, dtype=type(s))
-            out[0] = s
-            out[1:] = (abs(s) ** 2 - 1.0) * np.conj(s) ** np.arange(order)
-            return out
-
         return AnalyticFunction(
             label="mobius_auto:a=%s" % _fmt_param(a),
             raw_jet=raw,
             claims_self_map=True,
             claims_univalent=True,
             known_fixed_point=self.interior_fixed_point(),
-            taylor=taylor,
+            # (a - z)/(1 - conj(a) z) = a + (|a|^2 - 1) z/(1 - conj(a) z)
+            **_lft_series(s, abs(s) ** 2 - 1.0, np.conj(s)),
         )
 
 
@@ -385,7 +434,8 @@ def mobius_auto(a) -> AnalyticFunction:
 
 
 def custom(label, value_fn, d1_fn, d2_fn, **meta) -> AnalyticFunction:
-    """Wrap three vectorized callables as a catalog-compatible function."""
+    """Wrap three vectorized callables as a catalog-compatible function; only
+    ``taylor=`` (and ``compose=``) in ``meta`` give it exact coefficients."""
     return AnalyticFunction(
         label=label,
         raw_jet=lambda z: (value_fn(z), d1_fn(z), d2_fn(z)),
@@ -397,7 +447,11 @@ def custom(label, value_fn, d1_fn, d2_fn, **meta) -> AnalyticFunction:
 
 
 def jet_compose(outer: AnalyticFunction, inner: AnalyticFunction) -> AnalyticFunction:
-    """Composition ``outer(inner(z))`` with the order-2 chain rule."""
+    """Composition ``outer(inner(z))`` with the order-2 chain rule.
+
+    Its coefficients are ``outer.compose`` of those of ``inner``, present
+    when ``outer`` has ``compose`` and ``inner`` the matching method.
+    """
     if not inner.claims_self_map:
         raise PreconditionError(
             "inner function is not a verified self-map of the disc; "
@@ -409,27 +463,44 @@ def jet_compose(outer: AnalyticFunction, inner: AnalyticFunction) -> AnalyticFun
         fv, f1, f2 = outer.raw_jet(gv)
         return fv, f1 * g1, f2 * g1 * g1 + f1 * g2
 
+    def taylor(order):
+        return outer.compose(inner.taylor(order))
+
+    def compose(g):
+        return outer.compose(inner.compose(g))
+
     return AnalyticFunction(
         label="compose(%s,%s)" % (outer.label, inner.label),
         raw_jet=raw,
         claims_self_map=outer.claims_self_map,
         claims_univalent=outer.claims_univalent and inner.claims_univalent,
         boundary_continuous=outer.boundary_continuous and inner.boundary_continuous,
+        taylor=taylor if outer.compose and inner.taylor else None,
+        compose=compose if outer.compose and inner.compose else None,
     )
 
 
 def product(f: AnalyticFunction, g: AnalyticFunction) -> AnalyticFunction:
-    """Pointwise product with the order-2 Leibniz rule."""
+    """Pointwise product with the order-2 Leibniz rule; its coefficients are
+    the truncated convolution of the factors' coefficients."""
 
     def raw(z):
         fv, f1, f2 = f.raw_jet(z)
         gv, g1, g2 = g.raw_jet(z)
         return fv * gv, f1 * gv + fv * g1, f2 * gv + 2.0 * f1 * g1 + fv * g2
 
+    def taylor(order):
+        return np.convolve(f.taylor(order), g.taylor(order))[: order + 1]
+
+    def compose(h):
+        return np.convolve(f.compose(h), g.compose(h))[: h.size]
+
     return AnalyticFunction(
         label="product(%s,%s)" % (f.label, g.label),
         raw_jet=raw,
         boundary_continuous=f.boundary_continuous and g.boundary_continuous,
+        taylor=taylor if f.taylor and g.taylor else None,
+        compose=compose if f.compose and g.compose else None,
     )
 
 
@@ -440,7 +511,8 @@ def conjugate_to_origin(
 
     Returns ``(zeta, eta)`` with ``zeta = psi o phi_a`` and
     ``eta = phi_a o phi o phi_a``, so ``eta(0) = 0``, ``eta'(0) = phi'(a)``
-    and ``zeta(0) = psi(a)``.
+    and ``zeta(0) = psi(a)``; the constant Taylor coefficient of ``eta`` is
+    exactly 0, so the rounding of ``a`` leaves nothing above the diagonal.
     """
     a = complex(a)
     if not abs(a) < 1.0:
@@ -453,23 +525,29 @@ def conjugate_to_origin(
     inv = mobius_auto(a)
     zeta = jet_compose(psi, inv)
     eta = jet_compose(inv, jet_compose(phi, inv))
-    eta = AnalyticFunction(
-        label=eta.label,
-        raw_jet=eta.raw_jet,
+
+    def eta_taylor(order):
+        out = eta.taylor(order)
+        out[0] = 0.0
+        return out
+
+    return zeta, replace(
+        eta,
         claims_self_map=True,
         claims_univalent=phi.claims_univalent,
         known_fixed_point=0.0 + 0.0j,
         boundary_continuous=phi.boundary_continuous,
+        taylor=eta_taylor if eta.taylor else None,
     )
-    return zeta, eta
 
 
 def factor_tau(phi: AnalyticFunction) -> AnalyticFunction:
     """Divide out the zero at the origin: ``phi(z) = z * tau(z)``.
 
-    Requires ``phi(0) = 0``.  Away from the origin the jets follow from the
-    quotient rule; inside ``|z| < 1e-4`` the removable singularity is handled
-    through the series of ``tau``, built once from ``phi.coefficients(64)``.
+    Requires ``phi(0) = 0`` and ``phi.taylor``.  Away from the origin the
+    jets follow from the quotient rule; inside ``|z| < 1e-4`` the removable
+    singularity is handled through ``tau.taylor(63)``, ``phi``'s shifted by
+    one.  No caller composes ``tau`` as an outer function: no ``compose``.
     """
     j0 = phi.jet(0.0)
     if abs(j0.v) > 1e-10:
@@ -477,7 +555,11 @@ def factor_tau(phi: AnalyticFunction) -> AnalyticFunction:
             "phi(0) must vanish to factor phi(z) = z*tau(z); got |phi(0)| = %.3e"
             % abs(j0.v)
         )
-    tau = TaylorSeries(phi.coefficients(64)[0][1:])
+
+    def taylor(order):
+        return phi.coefficients(order + 1)[1:]
+
+    tau = TaylorSeries(taylor(63))
     tau1 = series_derivative(tau)
     tau2 = series_derivative(tau1)
 
@@ -500,6 +582,7 @@ def factor_tau(phi: AnalyticFunction) -> AnalyticFunction:
         raw_jet=raw,
         claims_self_map=phi.claims_self_map and abs(j0.d1) < 1.0 - 1e-12,
         boundary_continuous=phi.boundary_continuous,
+        taylor=taylor,
     )
 
 

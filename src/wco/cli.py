@@ -229,15 +229,13 @@ def cmd_norm_check(args) -> int:
     func = catalog.from_spec(args.func)
     p = SpaceParams(args.alpha)
     grid = QuadratureGrid.make(args.quad_r, args.quad_t)
-    coeffs, est = func.coefficients(args.n - 1)
-    coeff = norm_sq_coeff(TaylorSeries(coeffs), p, "dirichlet")
+    coeff = norm_sq_coeff(TaylorSeries(func.coefficients(args.n - 1)), p, "dirichlet")
     first = norm_sq_quadrature(func, p, grid, "first_derivative")
     second = norm_sq_quadrature(func, p, grid, "second_derivative")
     doc = {
         "schema": SCHEMA,
         "config": _config_dict(args, "norm-check"),
         "coefficient_norm_sq": coeff,
-        "extraction_estimate": est,
         "quad_first_derivative": {
             "value": first.value,
             "refined_value": first.refined_value,

@@ -2,17 +2,17 @@
 
 Column ``k`` of the truncation holds the Taylor coefficients of
 ``psi * phi**k`` rescaled into the orthonormal basis.  The coefficients of
-``psi`` and ``phi`` come from ``AnalyticFunction.coefficients``: exact for
-every catalog family, one circle extraction for a function without exact
-ones (a composition, a product, a wrapped callable).  The columns then
-follow by direct truncated convolution, so real symbols give real matrices
-and ``phi(0) = 0`` gives an exactly lower-triangular one.  The whole assembly is
-deterministic for fixed inputs and a fixed BLAS thread count.
+``psi`` and ``phi`` are the exact ones of ``AnalyticFunction.coefficients``
+(catalog families, compositions, products, ``tau``); a function without
+them is refused.  The columns then follow by direct truncated convolution,
+so real symbols give real matrices and ``phi(0) = 0`` gives an exactly
+lower-triangular one.  The whole assembly is deterministic for fixed inputs
+and a fixed BLAS thread count.  :func:`apply_operator` is the independent,
+circle-sampled reference for the matrix route.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,13 +20,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .catalog import AnalyticFunction
 from .errors import NumericsError, ParameterError, PreconditionError
-from .series import (
-    SAMPLE_RADIUS,
-    TaylorSeries,
-    evaluate,
-    extract_coeffs,
-    sample_count,
-)
+from .series import TaylorSeries, evaluate, extract_coeffs
 from .spaces import SpaceParams, kernel_coordinates, kernel_vector
 
 
@@ -35,10 +29,10 @@ class OperatorMatrix:
     """Truncation ``entries[j, k] = <C e_k, e_j>`` with provenance.
 
     ``entries`` is float64 when both symbols have real coefficients and
-    complex128 otherwise.  ``col_errors[k]`` bounds the error of column ``k``
-    in matrix-entry scale (see :func:`assemble_matrix`); ``sample_radius``
-    and ``sample_count`` describe the extraction circle, and are None when
-    both symbols had exact coefficients and no circle was sampled.
+    complex128 otherwise.  ``col_errors[k]`` bounds the rounding error of
+    column ``k`` in matrix-entry scale (see :func:`assemble_matrix`).
+    ``warnings`` is always empty: every truncation is assembled from exact
+    coefficients.
     """
 
     entries: np.ndarray
@@ -46,8 +40,6 @@ class OperatorMatrix:
     psi_label: str
     phi_label: str
     col_errors: np.ndarray
-    sample_radius: float | None
-    sample_count: int | None
     warnings: tuple[str, ...] = field(default_factory=tuple)
 
     @property
@@ -84,20 +76,6 @@ def _power_columns(psi_c: np.ndarray, phi_c: np.ndarray) -> np.ndarray:
     return out
 
 
-def _propagated(e_psi: float, e_phi: float, a: float, p: float, n: int):
-    """``p**k e_psi + 2 k a p**(k-1) e_phi`` for ``k < n`` (see
-    :func:`assemble_matrix`); inf once ``p**k`` leaves the float range."""
-    k = np.arange(n)
-    out = np.zeros(n)
-    with np.errstate(over="ignore"):
-        growth = p ** k
-        if e_psi:
-            out += e_psi * growth
-        if e_phi:
-            out += e_phi * 2.0 * k * a * np.concatenate(([0.0], growth[:-1]))
-    return out
-
-
 def assemble_matrix(
     psi: AnalyticFunction,
     phi: AnalyticFunction,
@@ -107,21 +85,16 @@ def assemble_matrix(
     """Assemble the N x N truncation of ``f -> psi * (f o phi)``.
 
     Coefficients ``0..N-1`` of each symbol come from
-    ``AnalyticFunction.coefficients`` (exact, or one circle extraction);
-    column ``k`` is then ``psi * phi**k`` by direct truncated convolution.
+    ``AnalyticFunction.coefficients``; column ``k`` is then ``psi * phi**k``
+    by direct truncated convolution.
 
     ``col_errors[k]`` is the first-order bound ``p**k e_psi +
-    2 k a p**(k-1) e_phi`` on the coefficient error of column ``k``, scaled
-    to matrix entries.  ``a`` and ``p`` are the l1 norms of the coefficients
-    of ``psi`` and ``phi``; ``e_psi`` and ``e_phi`` are per-coefficient input
-    errors: the extraction estimate of a sampled symbol (0 for exact
-    coefficients) plus the rounding level ``gamma = N eps / (1 - N eps)`` of
-    a length-N dot product, charged as ``gamma a`` to ``psi`` and
-    ``2 gamma p`` to ``phi`` (its own recurrence and the products of the
-    convolution).  The factor 2 in ``2 k`` covers the squarings of
-    :func:`_power_columns`.  A column warns when the part of its bound due
-    to extraction estimates alone exceeds ``1e-8`` of its largest
-    coefficient, so a pair with exact coefficients never warns.
+    2 k a p**(k-1) e_phi`` on the rounding error of column ``k``, scaled to
+    matrix entries.  ``a`` and ``p`` are the l1 norms of the coefficients of
+    ``psi`` and ``phi``; with the rounding level ``gamma = N eps / (1 - N
+    eps)`` of a length-N dot product, ``e_psi = gamma a`` and ``e_phi =
+    2 gamma p`` (its own recurrence and the products of the convolution).
+    The factor 2 in ``2 k`` covers the squarings of ``_power_columns``.
     """
     p.require_core()
     if n < 1:
@@ -131,8 +104,8 @@ def assemble_matrix(
             "phi is not a verified self-map of the disc; the operator "
             "truncation is only meaningful for self-maps"
         )
-    psi_c, psi_est = psi.coefficients(n - 1)
-    phi_c, phi_est = phi.coefficients(n - 1)
+    psi_c = psi.coefficients(n - 1)
+    phi_c = phi.coefficients(n - 1)
     if not np.any(psi_c):
         raise PreconditionError(
             "psi has no nonzero Taylor coefficient below order %d; the zero "
@@ -143,30 +116,22 @@ def assemble_matrix(
     l1_phi = float(np.sum(np.abs(phi_c)))
     eps = np.finfo(np.float64).eps
     gamma = n * eps / (1.0 - n * eps)
-    extraction = _propagated(psi_est, phi_est, a, l1_phi, n)
-    err = extraction + _propagated(gamma * a, 2.0 * gamma * l1_phi, a, l1_phi, n)
-    col_max = np.maximum(np.max(np.abs(cols), axis=0), 1e-300)
-    warnings = tuple(
-        "column %d extraction estimate %.3e exceeds 1e-8 of its largest "
-        "coefficient %.3e" % (k, extraction[k], col_max[k])
-        for k in range(n)
-        if extraction[k] > 1e-8 * col_max[k]
-    )
+    k = np.arange(n)
+    with np.errstate(over="ignore"):  # inf once p**k leaves the float range
+        growth = l1_phi**k
+        shifted = np.concatenate(([0.0], growth[:-1]))
+        err = gamma * a * growth + 2.0 * gamma * l1_phi * 2.0 * k * a * shifted
     wk = p.basis_scale(n)  # (k+1)^{(alpha-1)/2}
     wj = 1.0 / p.basis_scale(n)  # (j+1)^{(1-alpha)/2}
     entries = cols * wk[None, :] * wj[:, None]
     if not np.all(np.isfinite(entries)):
         raise NumericsError("matrix assembly produced non-finite entries")
-    sampled = psi.taylor is None or phi.taylor is None
     return OperatorMatrix(
         entries=entries,
         params=p,
         psi_label=psi.label,
         phi_label=phi.label,
         col_errors=err * wk * np.max(wj),
-        sample_radius=SAMPLE_RADIUS if sampled else None,
-        sample_count=sample_count(n - 1) if sampled else None,
-        warnings=warnings,
     )
 
 
@@ -249,51 +214,3 @@ def adjoint_kernel_check(
         kernel_tail_phi_z=kernel_vector(phi_z, p, n - 1).tail_bound,
         size=n,
     )
-
-
-# --- exports -------------------------------------------------------------------
-
-
-def _matrix_header(m: OperatorMatrix) -> dict:
-    return {
-        "alpha": m.params.alpha,
-        "N": m.size,
-        "psi": m.psi_label,
-        "phi": m.phi_label,
-        "sample_radius": m.sample_radius,
-        "sample_count": m.sample_count,
-        "col_errors": [float(e) for e in m.col_errors],
-        "warnings": list(m.warnings),
-    }
-
-
-def export_matrix_csv(m: OperatorMatrix, path) -> None:
-    """``j,k,re,im`` rows preceded by a JSON header comment."""
-    from .reportio import fmt_float
-
-    lines = ["# " + json.dumps(_matrix_header(m), sort_keys=True)]
-    lines.append("j,k,re,im")
-    for jj in range(m.size):
-        for kk in range(m.size):
-            e = m.entries[jj, kk]
-            lines.append(
-                "%d,%d,%s,%s" % (jj, kk, fmt_float(e.real), fmt_float(e.imag))
-            )
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def export_matrix_json(m: OperatorMatrix, path) -> None:
-    """Row-major ``[re, im]`` entries under a header object."""
-    from .reportio import render_json
-
-    doc = {
-        "header": _matrix_header(m),
-        "entries": [
-            [m.entries[jj, kk].real, m.entries[jj, kk].imag]
-            for jj in range(m.size)
-            for kk in range(m.size)
-        ],
-    }
-    with open(path, "w", newline="\n") as fh:
-        fh.write(render_json(doc) + "\n")

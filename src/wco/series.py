@@ -1,10 +1,11 @@
 """Truncated Taylor series arithmetic and circle-sampling coefficient extraction.
 
 A :class:`TaylorSeries` is the finite expansion ``sum_{n=0}^{order} c_n z^n``
-about the origin with complex coefficients.  Coefficients of an analytic
-point evaluator that has no exact ones are recovered by sampling the one
-circle ``|z| = SAMPLE_RADIUS`` at :func:`sample_count` points and applying a
-single FFT; the aliasing indicator (the largest coefficient in the top
+about the origin with complex coefficients.  Circle sampling serves only
+``wco.operator.apply_operator``, the sampled reference that the tests
+compare the exact matrix route against: :func:`extract_coeffs` samples the
+one circle ``|z| = SAMPLE_RADIUS`` at :func:`sample_count` points and applies
+a single FFT; the aliasing indicator (the largest coefficient in the top
 quarter of the extracted range) is always returned next to the series, never
 discarded.
 """
@@ -20,8 +21,8 @@ from .errors import ParameterError, PreconditionError
 
 # The one extraction circle.  rho**(-order) amplifies the rounding of the
 # samples; beyond e**219.7 (about 1e95) the coefficients are noise.  At
-# radius 0.9 this admits orders up to 2085: N <= 2086 for truncations whose
-# symbols have no exact coefficients.
+# radius 0.9 this admits orders up to 2085, which limits apply_operator to
+# N <= 2086; no other program path samples a circle.
 SAMPLE_RADIUS = 0.9
 _LOG_AMPLIFICATION_LIMIT = 219.7
 

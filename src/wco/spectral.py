@@ -5,9 +5,9 @@ the compact-operator spectrum is the geometric family
 ``psi(a) * phi'(a)**n`` together with 0.  :func:`spectrum_study` checks it
 against dense eigenvalues of the plain truncation and of its leading
 blocks.  :func:`conjugation_invariance_check` adds a second route: the
-diagonal of the Mobius-conjugated truncation, which is triangular because
-the conjugated symbol fixes the origin; its symbols have no exact
-coefficients, so that truncation is assembled from circle samples.
+diagonal of the Mobius-conjugated truncation, which is exactly lower
+triangular because the conjugated symbol fixes the origin and its exact
+Taylor coefficients have a constant term of exactly 0.
 """
 
 from __future__ import annotations
@@ -214,7 +214,7 @@ def spectrum_study(
     count: int = 12,
     criteria_report=None,
 ) -> SpectrumReport:
-    """Predict, truncate at N/4, N/2 and N, and reconcile.
+    """Predict, truncate at N/4, N/2 and N (at least 8, at most N), and reconcile.
 
     One truncation is assembled, at the largest size; the smaller ones are
     its leading blocks, since coefficient ``j`` of column ``k`` does not
@@ -229,7 +229,7 @@ def spectrum_study(
     a far-from-converged study certify itself.
     """
     pred = predict_spectrum(psi, phi, p, count=count, criteria_report=criteria_report)
-    sizes = sorted({max(8, n // 4), max(8, n // 2), n})
+    sizes = sorted({s for s in (max(8, n // 4), max(8, n // 2), n) if s <= n})
     rows = []
     errors_by_size = {}
     final_eig = None
@@ -335,9 +335,8 @@ def conjugation_invariance_check(
     Route one: dense eigenvalues of the plain truncation.  Route two: the
     conjugated symbol fixes the origin, so its truncation is triangular and
     the predicted spectrum is read off its diagonal.  The conjugated symbols
-    are compositions without exact coefficients, so that truncation is
-    assembled from one circle extraction per symbol and its diagonal
-    carries the extraction error.
+    are compositions with exact Taylor coefficients, so that truncation is
+    exactly lower triangular and its diagonal carries rounding only.
     """
     pred = predict_spectrum(psi, phi, p, count=min(n, 12))
     zeta, eta = conjugate_to_origin(psi, phi, a)

@@ -78,27 +78,94 @@ TAYLOR_CASES = [
 ]
 
 
-@pytest.mark.parametrize("f,closed", TAYLOR_CASES, ids=[f.label for f, _ in TAYLOR_CASES])
-def test_taylor_matches_closed_form(f, closed):
+def _mp_taylor(closed, center, order=40):
+    """Taylor coefficients of ``closed`` about ``center`` in 60 digits."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(60):
-        want = np.array(
-            [complex(c) for c in mpmath.taylor(lambda z: closed(mpmath, z), 0, 40)]
+        c = mpmath.mpmathify(center)
+        return np.array(
+            [complex(v) for v in mpmath.taylor(lambda z: closed(mpmath, z), c, order)]
         )
-    got = f.taylor(40)
+
+
+def _about(center, order=40):
+    """Coefficients of ``center + w``: composing with them recentres."""
+    g = np.zeros(order + 1, dtype=np.result_type(center))
+    g[0], g[1] = center, 1.0
+    return g
+
+
+def _assert_taylor(got, want):
     real = not np.any(want.imag)
     assert got.dtype == (np.float64 if real else np.complex128)
-    assert got.shape == (41,)
+    assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
-def test_taylor_absent_outside_the_catalog():
-    inner = mobius_self_map(0.5)
-    assert jet_compose(psi_power(2.5), inner).taylor is None
-    assert product(psi_power(2.5), inner).taylor is None
-    assert factor_tau(inner).taylor is None
-    zeta, eta = conjugate_to_origin(psi_power(2.5), inner, 0.0)
-    assert zeta.taylor is None and eta.taylor is None
+@pytest.mark.parametrize("f,closed", TAYLOR_CASES, ids=[f.label for f, _ in TAYLOR_CASES])
+def test_taylor_matches_closed_form(f, closed):
+    # about the origin through taylor, about a real and a complex centre
+    # through compose; real parameters and a real centre give float64
+    _assert_taylor(f.taylor(40), _mp_taylor(closed, 0.0))
+    for center in (-0.4, 0.3 - 0.2j):
+        _assert_taylor(f.compose(_about(center)), _mp_taylor(closed, center))
+
+
+def test_taylor_of_compositions_products_and_tau():
+    ex1_psi = lambda m, z: (1 - z) ** m.mpf(2.5)
+    ex1_phi = lambda m, z: m.mpf(0.5) * z / (1 - m.mpf(0.5) * z)
+    exx2_phi = lambda m, z: m.exp(-m.mpf(1.5) / (1 - m.mpf(0.5) * z))
+    auto_mp = lambda m, z: (m.mpc(0.4, 0.2) - z) / (1 - m.mpc(0.4, -0.2) * z)
+    r1_mp = lambda m, z: m.exp((1 - m.mpf(0.6)) * (z + 1) / (m.mpf(0.6) * z - 1))
+    phi = mobius_self_map(0.5)
+    auto = mobius_auto(0.4 + 0.2j)
+    cases = [
+        (jet_compose(psi_power(2.5), phi), lambda m, z: ex1_psi(m, ex1_phi(m, z))),
+        (jet_compose(psi_power(2.5), auto), lambda m, z: ex1_psi(m, auto_mp(m, z))),
+        (jet_compose(phi_rk(0.5, 2.0), auto), lambda m, z: exx2_phi(m, auto_mp(m, z))),
+        (jet_compose(auto, phi_r1(0.6)), lambda m, z: auto_mp(m, r1_mp(m, z))),
+        (jet_compose(polynomial([0.5, 0, 0.5]), auto),
+         lambda m, z: m.mpf(0.5) + m.mpf(0.5) * auto_mp(m, z) ** 2),
+        (product(psi_power(2.5), phi), lambda m, z: ex1_psi(m, z) * ex1_phi(m, z)),
+    ]
+    for f, closed in cases:
+        _assert_taylor(f.taylor(40), _mp_taylor(closed, 0.0))
+        _assert_taylor(f.compose(_about(0.3 - 0.2j)), _mp_taylor(closed, 0.3 - 0.2j))
+    tau = factor_tau(phi)
+    tau_mp = lambda m, z: m.mpf(0.5) / (1 - m.mpf(0.5) * z)
+    _assert_taylor(tau.taylor(40), _mp_taylor(tau_mp, 0.0))
+    assert tau.compose is None and jet_compose(tau, phi).taylor is None
+    # both conjugates of exx2 at its fixed point; eta fixes 0 exactly
+    exx2 = phi_rk(0.5, 2.0)
+    a = find_fixed_point(exx2)
+    zeta, eta = conjugate_to_origin(polynomial([0, 0, 1]), exx2, a)
+    inv = lambda m, z: (m.mpmathify(a) - z) / (1 - m.mpmathify(a).conjugate() * z)
+    _assert_taylor(zeta.taylor(40), _mp_taylor(lambda m, z: inv(m, z) ** 2, 0.0))
+    want = _mp_taylor(lambda m, z: inv(m, exx2_phi(m, inv(m, z))), 0.0)
+    got = eta.taylor(40)
+    assert got[0] == 0.0 and abs(want[0]) <= 1e-14  # the residual of a
+    _assert_taylor(got[1:], want[1:])
+    assert eta.coefficients(64)[0] == 0.0
+
+
+def test_composition_stays_accurate_at_high_order():
+    # (1-z)**2.5 composed with the automorphism swapping 0 and a is
+    # (1-a)**2.5 (1+z)**2.5 (1-a z)**-2.5: a product of two binomial series.
+    # Summing the series of (1-z)**2.5 about a over powers of the
+    # automorphism minus a would leave coefficient 255 off by about 3e11.
+    mpmath = pytest.importorskip("mpmath")
+    a, n = 0.19053, 256
+    with mpmath.workdps(40):
+        x = [mpmath.binomial(2.5, j) for j in range(n)]
+        y = [mpmath.binomial(-2.5, j) * (-mpmath.mpf(a)) ** j for j in range(n)]
+        scale = (1 - mpmath.mpf(a)) ** 2.5
+        want = np.array(
+            [float(scale * mpmath.fsum(x[i] * y[j - i] for i in range(j + 1)))
+             for j in range(n)]
+        )
+    got = jet_compose(psi_power(2.5), mobius_auto(a)).taylor(n - 1)
+    assert got.dtype == np.float64
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 def test_mobius_self_map_jet_at_origin():

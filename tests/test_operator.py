@@ -1,19 +1,15 @@
-import json
-
 import numpy as np
 import pytest
 
-from wco import catalog
-from wco.errors import ParameterError, PreconditionError
+from wco import catalog, cli
+from wco.errors import PreconditionError
 from wco.operator import (
     adjoint_kernel_check,
     apply_operator,
     assemble_matrix,
-    export_matrix_csv,
-    export_matrix_json,
     matrix_apply,
 )
-from wco.series import SAMPLE_RADIUS, TaylorSeries, dft_coefficient_rows
+from wco.series import TaylorSeries, dft_coefficient_rows
 from wco.spaces import SpaceParams
 
 ONE = catalog.polynomial([1.0])
@@ -61,23 +57,29 @@ def test_assemble_rejects_zero_weight():
         assemble_matrix(catalog.polynomial([0.0]), EX1_PHI, P_HALF, 8)
 
 
-def test_assemble_warns_on_slow_tails():
-    # The catalog weight has exact coefficients and no extraction estimate,
-    # so the ex1 pair raises no warnings.  The same weight behind a custom
-    # wrapper is sampled; its coefficients decay like j**-3.5, so the top
-    # quarter of the extracted range stays large and the columns warn.
+def test_custom_without_taylor_is_refused():
+    # every catalog family has exact coefficients, so the ex1 pair raises no
+    # warnings; a wrapped callable has coefficients only when it is given a
+    # taylor, and is refused without one instead of being sampled
     assert assemble_matrix(EX1_PSI, EX1_PHI, P_HALF, 64).warnings == ()
-    sampled = catalog.custom(
-        "sampled_power",
+    jets = (
         lambda z: (1.0 - z) ** 2.5,
         lambda z: -2.5 * (1.0 - z) ** 1.5,
         lambda z: 3.75 * (1.0 - z) ** 0.5,
     )
-    assert sampled.taylor is None
-    assert assemble_matrix(sampled, EX1_PHI, P_HALF, 64).warnings
+    bare = catalog.custom("bare_power", *jets)
+    assert bare.taylor is None
+    with pytest.raises(PreconditionError, match="no exact Taylor coefficients"):
+        assemble_matrix(bare, EX1_PHI, P_HALF, 64)
+    with pytest.raises(PreconditionError):
+        bare.coefficients(8)
+    wrapped = catalog.custom("power", *jets, taylor=EX1_PSI.taylor)
+    want = assemble_matrix(EX1_PSI, EX1_PHI, P_HALF, 64).entries
+    assert np.array_equal(assemble_matrix(wrapped, EX1_PHI, P_HALF, 64).entries, want)
 
 
-def test_one_extraction_per_call(monkeypatch):
+def test_one_extraction_per_call(monkeypatch, capsys):
+    # only apply_operator, the sampled reference, reaches the circle DFT
     import wco.series
 
     calls = []
@@ -87,18 +89,15 @@ def test_one_extraction_per_call(monkeypatch):
         return dft_coefficient_rows(*args, **kwargs)
 
     monkeypatch.setattr(wco.series, "dft_coefficient_rows", counting)
-    # catalog symbols have exact coefficients: no circle is sampled
-    m = assemble_matrix(EX1_PSI, EX1_PHI, P_HALF, 64)
-    assert calls == [] and m.sample_radius is None and m.sample_count is None
-    # conjugated symbols have none: one extraction per sampled function
+    assemble_matrix(EX1_PSI, EX1_PHI, P_HALF, 64)
     zeta, eta = catalog.conjugate_to_origin(EX1_PSI, EX1_PHI, 0.0)
-    m = assemble_matrix(zeta, eta, P_HALF, 64)
-    assert len(calls) == 2
-    assert m.sample_radius == SAMPLE_RADIUS == 0.9 and m.sample_count == 512
+    assemble_matrix(zeta, eta, P_HALF, 64)
     assemble_matrix(zeta, EX1_PHI, P_HALF, 64)
-    assert len(calls) == 3
+    assert cli.main(["paper-examples"]) == 0
+    capsys.readouterr()
+    assert calls == []
     apply_operator(EX1_PSI, EX1_PHI, TaylorSeries([1.0, 0.5]), P_HALF, 64)
-    assert calls == [0.9] * 4
+    assert calls == [0.9]
 
 
 @pytest.mark.parametrize("n", [512, 1024])
@@ -141,27 +140,17 @@ def test_exx2_truncation_matches_independent_reference_at_512():
     assert np.max(np.abs(m.entries - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def test_sampled_symbols_fail_loudly_past_extraction_limit():
-    # a symbol without exact coefficients is sampled at radius 0.9, whose
-    # rounding amplification 0.9**-j admits N <= 2086; past it, refuse
-    sampled = catalog.custom("one", np.ones_like, np.zeros_like, np.zeros_like)
-    with pytest.raises(ParameterError, match="too small for order"):
-        assemble_matrix(sampled, EX1_PHI, P_HALF, 2087)
-
-
-def test_sampled_route_agrees_with_exact_route_within_col_errors():
+def test_conjugated_route_agrees_with_direct_route_within_col_errors():
     # conjugating ex1 by z -> -z flips the sign of entry (j, k) by (-1)**(j+k);
-    # the conjugated symbols are sampled, so this compares the extraction
-    # fallback with exact coefficients.  At N = 128 the 0.9**-j amplified
-    # extraction noise (~5e-11) dominates rounding, so the extraction part
-    # of col_errors is what must cover it.
+    # the conjugated symbols get their coefficients through composition, so
+    # this compares two exact routes, and col_errors must cover the rounding
     n = 128
     exact = assemble_matrix(EX1_PSI, EX1_PHI, P_HALF, n)
     zeta, eta = catalog.conjugate_to_origin(EX1_PSI, EX1_PHI, 0.0)
-    sampled = assemble_matrix(zeta, eta, P_HALF, n)
+    conjugated = assemble_matrix(zeta, eta, P_HALF, n)
     sign = (-1.0) ** np.add.outer(np.arange(n), np.arange(n))
-    dev = np.abs(sampled.entries - sign * exact.entries)
-    assert np.all(dev <= sampled.col_errors[None, :])
+    dev = np.abs(conjugated.entries - sign * exact.entries)
+    assert np.all(dev <= conjugated.col_errors[None, :])
 
 
 def test_apply_operator_examples():
@@ -223,32 +212,3 @@ def test_adjoint_kernel_identity_ex1_deep():
 def test_adjoint_kernel_rejects_outer_points():
     with pytest.raises(PreconditionError):
         adjoint_kernel_check(ONE, EX1_PHI, P_HALF, 0.85, 16)
-
-
-def test_matrix_exports_are_deterministic(tmp_path):
-    m = assemble_matrix(EX1_PSI, EX1_PHI, P_HALF, 12)
-    c1, c2 = tmp_path / "m1.csv", tmp_path / "m2.csv"
-    j1, j2 = tmp_path / "m1.json", tmp_path / "m2.json"
-    export_matrix_csv(m, c1)
-    export_matrix_csv(m, c2)
-    export_matrix_json(m, j1)
-    export_matrix_json(m, j2)
-    assert c1.read_bytes() == c2.read_bytes()
-    assert j1.read_bytes() == j2.read_bytes()
-    header = json.loads(c1.read_text().splitlines()[0][2:])
-    assert header["alpha"] == 0.5 and header["N"] == 12
-    assert header["psi"] == EX1_PSI.label and header["phi"] == EX1_PHI.label
-    assert len(header["col_errors"]) == 12
-    doc = json.loads(j1.read_text())
-    assert len(doc["entries"]) == 144
-    got = doc["entries"][1 * 12 + 0]  # row-major (j=1, k=0)
-    assert abs(complex(got[0], got[1]) - m.entries[1, 0]) <= 1e-15
-
-
-def test_csv_rows_cover_all_entries(tmp_path):
-    m = assemble_matrix(ONE, catalog.affine(0, 0.5), P_HALF, 5)
-    path = tmp_path / "m.csv"
-    export_matrix_csv(m, path)
-    lines = path.read_text().splitlines()
-    assert lines[1] == "j,k,re,im"
-    assert len(lines) == 2 + 25

@@ -152,6 +152,22 @@ def test_spectrum_study_monotone_improvement_on_compact_cases():
             assert b <= max(a, 1e-9)
 
 
+def test_spectrum_study_stays_within_the_requested_size(monkeypatch):
+    import wco.spectral
+
+    sizes = []
+
+    def recording(psi, phi, p, n):
+        sizes.append(n)
+        return assemble_matrix(psi, phi, p, n)
+
+    monkeypatch.setattr(wco.spectral, "assemble_matrix", recording)
+    study = spectrum_study(EX1_PSI, EX1_PHI, P_HALF, 4)
+    assert sizes == [4]
+    assert [row["N"] for row in study.convergence] == [4]
+    assert study.eigenvalues.size == 4
+
+
 def test_spectrum_study_quasi_nilpotent_envelope():
     # truncations of a quasi-nilpotent operator carry spurious small
     # eigenvalues; the verdict uses a decaying envelope, not exact zeros
@@ -224,6 +240,21 @@ def test_conjugation_check_exp_lft_family():
     rep = conjugation_invariance_check(SQUARE, phi, a, P_HALF, 64)
     assert rep.diagonal_max_err <= 1e-8
     assert rep.coherent
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_exx2_conjugated_truncation_is_exactly_triangular(n):
+    # the conjugated symbols have exact coefficients and eta(0) is exactly 0,
+    # so nothing lies above the diagonal and the diagonal is the prediction
+    phi = catalog.phi_rk(0.5, 2.0)
+    pred = predict_spectrum(SQUARE, phi, P_HALF, count=12)
+    zeta, eta = catalog.conjugate_to_origin(SQUARE, phi, pred.a)
+    m = assemble_matrix(zeta, eta, P_HALF, n)
+    assert m.entries.dtype == np.float64
+    assert not np.any(np.triu(m.entries, 1))
+    want = pred.psi_a * pred.phi_prime_a ** np.arange(n)
+    assert np.max(np.abs(np.diag(m.entries) - want)) <= 1e-15
+    assert m.warnings == ()
 
 
 def test_eigenvalue_modulus_envelope_on_compact_cases():
