@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wco import catalog, cli
-from wco.errors import PreconditionError
+from wco.errors import ParameterError, PreconditionError
 from wco.operator import (
     adjoint_kernel_check,
     apply_operator,
@@ -57,25 +57,39 @@ def test_assemble_rejects_zero_weight():
         assemble_matrix(catalog.polynomial([0.0]), EX1_PHI, P_HALF, 8)
 
 
-def test_custom_without_taylor_is_refused():
-    # every catalog family has exact coefficients, so the ex1 pair raises no
-    # warnings; a wrapped callable has coefficients only when it is given a
-    # taylor, and is refused without one instead of being sampled
-    assert assemble_matrix(EX1_PSI, EX1_PHI, P_HALF, 64).warnings == ()
-    jets = (
-        lambda z: (1.0 - z) ** 2.5,
-        lambda z: -2.5 * (1.0 - z) ** 1.5,
-        lambda z: 3.75 * (1.0 - z) ** 0.5,
-    )
-    bare = catalog.custom("bare_power", *jets)
+_POWER_JETS = (
+    lambda z: (1.0 - z) ** 2.5,
+    lambda z: -2.5 * (1.0 - z) ** 1.5,
+    lambda z: 3.75 * (1.0 - z) ** 0.5,
+)
+
+
+def test_assemble_warns_on_slow_tails():
+    # The ex1 weight's coefficients decay only like j**-3.5.  They are exact,
+    # so a slow tail carries no extraction error and raises no warning, for
+    # the catalog weight and for the same weight wrapped by custom with its
+    # taylor; the wrapped one assembles bit-identically.
+    want = assemble_matrix(EX1_PSI, EX1_PHI, P_HALF, 64)
+    assert want.warnings == ()
+    wrapped = catalog.custom("power", *_POWER_JETS, taylor=EX1_PSI.taylor)
+    got = assemble_matrix(wrapped, EX1_PHI, P_HALF, 64)
+    assert got.warnings == ()
+    assert np.array_equal(got.entries, want.entries)
+
+
+def test_sampled_symbols_fail_loudly_past_extraction_limit():
+    # Assembly samples no symbol: a custom weight without taylor is refused
+    # at every size, below and past the radius-0.9 limit N <= 2086.  The
+    # sampled reference apply_operator still refuses N = 2087.
+    bare = catalog.custom("bare_power", *_POWER_JETS)
     assert bare.taylor is None
-    with pytest.raises(PreconditionError, match="no exact Taylor coefficients"):
-        assemble_matrix(bare, EX1_PHI, P_HALF, 64)
+    for n in (64, 2087):
+        with pytest.raises(PreconditionError, match="no exact Taylor coefficients"):
+            assemble_matrix(bare, EX1_PHI, P_HALF, n)
     with pytest.raises(PreconditionError):
         bare.coefficients(8)
-    wrapped = catalog.custom("power", *jets, taylor=EX1_PSI.taylor)
-    want = assemble_matrix(EX1_PSI, EX1_PHI, P_HALF, 64).entries
-    assert np.array_equal(assemble_matrix(wrapped, EX1_PHI, P_HALF, 64).entries, want)
+    with pytest.raises(ParameterError, match="too small for order"):
+        apply_operator(EX1_PSI, EX1_PHI, TaylorSeries([1.0]), P_HALF, 2087)
 
 
 def test_one_extraction_per_call(monkeypatch, capsys):
