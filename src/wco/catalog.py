@@ -601,12 +601,14 @@ def _newton_fixed_point(phi: AnalyticFunction, z0: complex, steps: int = 60):
     for _ in range(steps):
         jet = phi.jet(w)
         g = jet.v - w
-        if abs(g) < 1e-14:
-            return w
         gp = jet.d1 - 1.0
         if abs(gp) < 1e-14 or not math.isfinite(abs(gp)):
-            return None
+            return w if abs(g) < 1e-14 else None
         w = w - g / gp
+        if abs(g) < 1e-14:
+            # convergence is quadratic, so the step from a point that meets
+            # the tolerance lands far inside it (exx2: 4.2e-15 -> 4.8e-18)
+            return w
         if abs(w) > 1.5 or not math.isfinite(abs(w)):
             return None
     return w if abs(phi.value(w) - w) < 1e-12 else None

@@ -458,7 +458,9 @@ def _scenario_exx2(alphas, r: float, k: float) -> dict:
     p = SpaceParams(alpha)
     study = spectral.spectrum_study(psi, phi, p, 64)
     a = study.prediction.a
-    conj = spectral.conjugation_invariance_check(psi, phi, a, p, 64)
+    conj = spectral.conjugation_invariance_check(
+        psi, phi, a, p, study.eigenvalues
+    )
     worst = max(m.error for m in study.matches[: spectral.LEADING_COUNT])
     expected_lead = a * a
     good = (

@@ -129,13 +129,12 @@ def test_criterion_3_conjugation_coherence():
     p = SpaceParams(0.5)
     psi = catalog.polynomial([0, 0, 1.0])
     phi = catalog.affine(0.25, 0.5)
-    rep = conjugation_invariance_check(psi, phi, 0.5, p, 96)
+    eig = truncated_eigenvalues(assemble_matrix(psi, phi, p, 96))
+    rep = conjugation_invariance_check(psi, phi, 0.5, p, eig)
     want = 0.25 * 0.5 ** np.arange(12.0)
     diag_err = float(np.max(np.abs(rep.diagonal[:12] - want)))
     # per-index envelope derived from the criterion-2 convergence table
     errs96 = _case2(0.5)[96]
-    m96 = assemble_matrix(psi, phi, p, 96)
-    eig = truncated_eigenvalues(m96)
     agree_ok = True
     for i in range(6):
         envelope = max(1e-8, 4.0 * errs96[i])

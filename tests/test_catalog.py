@@ -338,6 +338,14 @@ def test_fixed_point_of_exp_lft_family():
     phi = phi_rk(0.5, 2.0)
     a = find_fixed_point(phi)
     assert a is not None and abs(phi.value(a) - a) <= 1e-12
+    # Newton steps once more after meeting its tolerance, which lands within
+    # rounding of the exact fixed point (4.2e-15 away without that step)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        exact = mpmath.findroot(
+            lambda z: mpmath.exp(-mpmath.mpf(1.5) / (1 - z / 2)) - z, mpmath.mpf(0.2)
+        )
+        assert abs(mpmath.mpmathify(a) - exact) <= 1e-16
 
 
 def test_fixed_point_multiplier_in_unit_interval_for_univalent_maps():

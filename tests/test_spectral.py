@@ -3,7 +3,7 @@ import pytest
 
 from wco import catalog
 from wco.criteria import AnnularGrid, evaluate_quantities
-from wco.errors import InapplicableError
+from wco.errors import InapplicableError, NumericsError
 from wco.operator import assemble_matrix
 from wco.series import TaylorSeries
 from wco.spaces import SpaceParams, norm_sq_coeff
@@ -95,11 +95,8 @@ def test_ex1_truncation_eigenvalues_match_diagonal():
 
 
 def test_triangular_exactness_across_sizes():
-    # phi(0)=0 makes the truncation triangular: eigenvalues equal the
-    # diagonal as a multiset while the diagonal stays above the noise
-    # cluster (60-digit arithmetic confirms the residual deviation at large
-    # N lives in the assembled matrix itself: strictly-upper entries at the
-    # extraction noise floor get amplified by the defective near-zero block)
+    # phi(0)=0 makes the truncation exactly lower triangular, with entries
+    # that carry rounding only, so its eigenvalues are its diagonal
     for n in (8, 16, 24):
         m = assemble_matrix(EX1_PSI, EX1_PHI, P_HALF, n)
         eig = np.sort_complex(truncated_eigenvalues(m))
@@ -113,6 +110,96 @@ def test_triangular_exactness_across_sizes():
             np.abs(np.sort_complex(eig) - np.sort_complex(np.diag(m.entries)))
         )
         assert full <= 1e-6
+
+
+def test_triangular_input_returns_sorted_diagonal_without_lapack(monkeypatch):
+    calls = []
+    dense = np.linalg.eigvals
+
+    def counting(a):
+        calls.append(a.shape)
+        return dense(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    rng = np.random.default_rng(3)
+    t = np.tril(rng.standard_normal((40, 40)))
+    m = assemble_matrix(EX1_PSI, EX1_PHI, P_HALF, 128)
+    for entries in (t, m.entries, t + 1j * np.tril(rng.standard_normal((40, 40)))):
+        d = np.diag(entries)
+        want = d[np.lexsort((np.angle(d), -np.abs(d)))]
+        got = truncated_eigenvalues(entries)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    assert calls == []
+
+
+def _pair_truncations():
+    pairs = ((EX1_PSI, EX1_PHI), (SQUARE, catalog.phi_rk(0.5, 2.0)),
+             (SQUARE, AFFINE), (ONE, catalog.phi_r1(0.6)))
+    for alpha in (-0.3, 0.5, 0.9):
+        for n in (64, 512):
+            for psi, phi in pairs:
+                yield assemble_matrix(psi, phi, SpaceParams(alpha), n).entries
+
+
+def test_leading_eigenvalues_match_dense_eigensolve():
+    # ex1 is triangular, exx2 and z^2 with affine(0.25, 0.5) deflate to a
+    # leading block of 35 and 120, phi_r1(0.6) does not deflate at all
+    for entries in _pair_truncations():
+        got = truncated_eigenvalues(entries)
+        dense = np.linalg.eigvals(entries)
+        dense = dense[np.lexsort((np.angle(dense), -np.abs(dense)))]
+        assert got.size == entries.shape[0]
+        assert np.max(np.abs(got[:12] - dense[:12])) <= 1e-12
+
+
+def test_dense_input_gives_the_dense_result_bit_for_bit():
+    rng = np.random.default_rng(7)
+    for entries in (rng.standard_normal((60, 60)),
+                    rng.standard_normal((33, 33)) + 1j * rng.standard_normal((33, 33))):
+        dense = np.linalg.eigvals(entries)
+        want = dense[np.lexsort((np.angle(dense), -np.abs(dense)))]
+        got = truncated_eigenvalues(entries)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+def test_upper_tail_above_the_deflation_budget_is_kept():
+    # [[0, e], [1, 0]] has eigenvalues +-sqrt(e); deflating e would give 0, 0
+    eps = np.finfo(float).eps
+    t = np.array([[0.0, 0.0], [1.0, 0.0]])
+    t[0, 1] = 1.5 * eps
+    assert np.allclose(np.sort(np.abs(truncated_eigenvalues(t))), np.sqrt(t[0, 1]),
+                       rtol=1e-6, atol=0)
+    t[0, 1] = 0.5 * eps
+    assert not np.any(truncated_eigenvalues(t))
+
+
+def test_non_finite_input_still_reaches_the_eigensolver_error():
+    # a NaN norm must not pass for a negligible upper tail
+    t = np.tril(np.ones((6, 6)))
+    t[4, 1] = np.nan
+    with pytest.raises(NumericsError):
+        truncated_eigenvalues(t)
+
+
+@pytest.mark.parametrize("psi, phi, n", [
+    (EX1_PSI, EX1_PHI, 64),
+    (SQUARE, catalog.phi_rk(0.5, 2.0), 512),
+    (SQUARE, catalog.affine(0, 0.5), 48),
+])
+def test_report_prints_eigenvalues_above_the_floor(psi, phi, n):
+    study = spectrum_study(psi, phi, P_HALF, n)
+    doc = study.to_json_dict()
+    entries = assemble_matrix(psi, phi, P_HALF, n).entries
+    floor = n * np.finfo(float).eps * np.linalg.norm(entries)
+    assert doc["eigenvalue_floor"] == study.floor
+    assert abs(study.floor - floor) <= 1e-14 * floor
+    shown = doc["eigenvalues_N"]
+    assert doc["below_floor"] + len(shown) == n
+    assert all(abs(complex(*v)) > floor for v in shown)
+    assert np.array_equal([complex(*v) for v in shown], study.eigenvalues[: len(shown)])
+    assert study.eigenvalues.size == n  # matching saw the full array
 
 
 # --- matching ----------------------------------------------------------------------
@@ -175,8 +262,9 @@ def test_spectrum_study_quasi_nilpotent_envelope():
     assert study.prediction.quasi_nilpotent
     assert study.passed
     maxima = [row["max_err_first6"] for row in study.convergence]
-    # the spurious-eigenvalue scale is set by the extraction noise floor,
-    # so across sizes it must stay inside the doubling envelope, not grow
+    # psi(0) = phi(0) = 0 makes these truncations strictly lower triangular
+    # with exact entries, so the spurious-eigenvalue scale is rounding at
+    # most; across sizes it must stay inside the doubling envelope, not grow
     assert all(b <= 1.2 * a + 1e-12 for a, b in zip(maxima, maxima[1:]))
     assert float(np.max(np.abs(study.eigenvalues))) <= 1e-3
 
@@ -221,14 +309,16 @@ def test_schroder_ladder_associates_converged_pairs():
 
 
 def test_conjugation_check_at_origin():
-    rep = conjugation_invariance_check(EX1_PSI, EX1_PHI, 0.0, P_HALF, 32)
+    eig = truncated_eigenvalues(assemble_matrix(EX1_PSI, EX1_PHI, P_HALF, 32))
+    rep = conjugation_invariance_check(EX1_PSI, EX1_PHI, 0.0, P_HALF, eig)
     assert rep.prediction_gap <= 1e-12
     assert rep.diagonal_max_err <= 1e-8
     assert rep.coherent
 
 
 def test_conjugation_check_affine_pair():
-    rep = conjugation_invariance_check(SQUARE, AFFINE, 0.5, P_HALF, 48)
+    eig = truncated_eigenvalues(assemble_matrix(SQUARE, AFFINE, P_HALF, 48))
+    rep = conjugation_invariance_check(SQUARE, AFFINE, 0.5, P_HALF, eig)
     want = 0.25 * 0.5 ** np.arange(12.0)
     assert np.max(np.abs(rep.diagonal[:12] - want)) <= 1e-8
     assert rep.coherent
@@ -237,7 +327,8 @@ def test_conjugation_check_affine_pair():
 def test_conjugation_check_exp_lft_family():
     phi = catalog.phi_rk(0.5, 2.0)
     a = catalog.find_fixed_point(phi)
-    rep = conjugation_invariance_check(SQUARE, phi, a, P_HALF, 64)
+    eig = truncated_eigenvalues(assemble_matrix(SQUARE, phi, P_HALF, 64))
+    rep = conjugation_invariance_check(SQUARE, phi, a, P_HALF, eig)
     assert rep.diagonal_max_err <= 1e-8
     assert rep.coherent
 
