@@ -10,6 +10,7 @@ fixed BLAS thread count.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -77,17 +78,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, psi_default=None, phi_default=None):
+    def common(sp, symbols=True, size=True, grid=True):
         sp.add_argument("--alpha", type=float, default=0.5)
-        sp.add_argument("--psi", default=psi_default)
-        sp.add_argument("--phi", default=phi_default)
-        sp.add_argument("--N", type=int, default=64, dest="n")
-        sp.add_argument("--M-max", type=int, default=14, dest="m_max")
-        sp.add_argument("--T", type=int, default=256, dest="t_base")
+        if symbols:
+            sp.add_argument("--psi")
+            sp.add_argument("--phi")
+        if size:
+            sp.add_argument("--N", type=int, default=64, dest="n")
+        if grid:
+            sp.add_argument("--M-max", type=int, default=14, dest="m_max")
+            sp.add_argument("--T", type=int, default=256, dest="t_base")
         sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("analyze", help="criterion quantities and verdicts")
-    common(sp)
+    common(sp, size=False)
     sp.set_defaults(run=cmd_analyze)
 
     sp = sub.add_parser("spectrum", help="predicted vs truncated spectrum")
@@ -96,14 +100,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(run=cmd_spectrum)
 
     sp = sub.add_parser("kernel-check", help="adjoint kernel identity residuals")
-    common(sp)
+    common(sp, grid=False)
     sp.add_argument("--points", type=int, default=10)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--z-cap", type=float, default=0.7)
     sp.set_defaults(run=cmd_kernel_check)
 
     sp = sub.add_parser("norm-check", help="coefficient vs quadrature norms")
-    common(sp)
+    common(sp, symbols=False, grid=False)
     sp.add_argument("--f", required=True, dest="func")
     sp.add_argument("--quad-R", type=int, default=200, dest="quad_r")
     sp.add_argument("--quad-T", type=int, default=512, dest="quad_t")
@@ -130,9 +134,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _validate_run_config(args) -> None:
     if not (-1.0 < args.alpha < 1.0):
         raise ParameterError("alpha must lie in (-1, 1)")
-    if not (8 <= args.n <= 4096):
+    if hasattr(args, "n") and not (8 <= args.n <= 4096):
         raise ParameterError("N must lie in [8, 4096]")
-    if not (6 <= args.m_max <= 20):
+    if hasattr(args, "m_max") and not (6 <= args.m_max <= 20):
         raise ParameterError("M-max must lie in [6, 20]")
 
 
@@ -142,8 +146,7 @@ def _config_dict(args, command: str) -> dict:
                 "count", "points", "seed", "z_cap", "func", "quad_r",
                 "quad_t", "vary", "range_spec", "only", "r", "k"):
         if hasattr(args, key):
-            value = getattr(args, key)
-            cfg[key] = value
+            cfg[key] = getattr(args, key)
     return cfg
 
 
@@ -230,27 +233,17 @@ def cmd_norm_check(args) -> int:
     p = SpaceParams(args.alpha)
     grid = QuadratureGrid.make(args.quad_r, args.quad_t)
     coeff = norm_sq_coeff(TaylorSeries(func.coefficients(args.n - 1)), p, "dirichlet")
-    first = norm_sq_quadrature(func, p, grid, "first_derivative")
-    second = norm_sq_quadrature(func, p, grid, "second_derivative")
     doc = {
         "schema": SCHEMA,
         "config": _config_dict(args, "norm-check"),
         "coefficient_norm_sq": coeff,
-        "quad_first_derivative": {
-            "value": first.value,
-            "refined_value": first.refined_value,
-            "relative_change": first.relative_change,
-            "too_coarse": first.too_coarse,
-        },
-        "quad_second_derivative": {
-            "value": second.value,
-            "refined_value": second.refined_value,
-            "relative_change": second.relative_change,
-            "too_coarse": second.too_coarse,
-        },
-        "ratio_first_over_coeff": first.value / coeff if coeff else None,
-        "ratio_second_over_coeff": second.value / coeff if coeff else None,
     }
+    ratios = {}
+    for name, res in norm_sq_quadrature(func, p, grid).items():
+        doc["quad_" + name] = dataclasses.asdict(res)
+        order = name.split("_")[0]
+        ratios["ratio_%s_over_coeff" % order] = res.value / coeff if coeff else None
+    doc.update(ratios)
     _emit(args, render_json(doc))
     return EXIT_OK
 
@@ -369,14 +362,19 @@ def _scenario_ex1(alphas) -> dict:
 
 
 def _scenario_remark(alphas) -> dict:
+    psi = catalog.polynomial([2.0, 1.0])
+    phi = catalog.polynomial([0.5, 0.0, 0.5])
+    # the witness search reads alpha only to check 0 < alpha < 1, which every
+    # remark alpha meets, so one search serves them all
+    boundary = criteria.check_corollary_boundary_zero(
+        psi, phi, SpaceParams(alphas[0]), _SCENARIO_GRID
+    )
     cases = []
     ok = True
     for alpha in alphas:
-        psi = catalog.polynomial([2.0, 1.0])
-        phi = catalog.polynomial([0.5, 0.0, 0.5])
-        p = SpaceParams(alpha)
-        report = criteria.evaluate_quantities(psi, phi, p, _SCENARIO_GRID)
-        boundary = criteria.check_corollary_boundary_zero(psi, phi, p, _SCENARIO_GRID)
+        report = criteria.evaluate_quantities(
+            psi, phi, SpaceParams(alpha), _SCENARIO_GRID
+        )
         good = (
             report.verdicts["necessary_compact_ok"] is False
             and boundary.verdict == "not_compact"

@@ -221,45 +221,37 @@ class QuadratureNormResult:
 
 
 def norm_sq_quadrature(
-    f: AnalyticFunction,
-    p: SpaceParams,
-    grid: QuadratureGrid,
-    variant: str = "first_derivative",
-) -> QuadratureNormResult:
-    """Equivalent-norm expressions evaluated by quadrature.
+    f: AnalyticFunction, p: SpaceParams, grid: QuadratureGrid
+) -> dict[str, QuadratureNormResult]:
+    """Both equivalent-norm expressions evaluated by quadrature.
 
     ``first_derivative``: ``|f(0)|^2 + int |f'|^2 dA_alpha`` (alpha in (-1,1)).
     ``second_derivative``: ``|f(0)|^2 + |f'(0)|^2 + int |f''|^2 dA_{alpha+2}``.
-    The computation is repeated on a doubled grid; a relative change above 1%
-    raises the ``too_coarse`` flag.
+    One jet evaluation per grid serves both.  The computation is repeated on
+    a doubled grid; a relative change above 1% raises the ``too_coarse`` flag.
     """
     p.require_core()
-    if variant not in ("first_derivative", "second_derivative"):
-        raise ParameterError(
-            "variant must be 'first_derivative' or 'second_derivative'"
-        )
+    jet0 = f.jet(0.0)
+    coarse = _equivalent_norms_sq(f, jet0, p, grid)
+    fine = _equivalent_norms_sq(f, jet0, p, grid.refined())
+    results = {}
+    for name, value in coarse.items():
+        change = abs(value - fine[name]) / max(abs(fine[name]), 1e-300)
+        results[name] = QuadratureNormResult(value, fine[name], change, change > 0.01)
+    return results
 
-    def compute(g: QuadratureGrid) -> float:
-        jet0 = f.jet(0.0)
-        jets = f.jet(g.points())
-        if variant == "first_derivative":
-            return abs(jet0.v) ** 2 + g.integrate(np.abs(jets.d1) ** 2, p.alpha)
-        return (
-            abs(jet0.v) ** 2
-            + abs(jet0.d1) ** 2
-            + g.integrate(np.abs(jets.d2) ** 2, p.alpha + 2.0)
-        )
 
-    value = compute(grid)
-    refined = compute(grid.refined())
-    denom = max(abs(refined), 1e-300)
-    change = abs(value - refined) / denom
-    return QuadratureNormResult(
-        value=value,
-        refined_value=refined,
-        relative_change=change,
-        too_coarse=change > 0.01,
-    )
+def _equivalent_norms_sq(f, jet0, p: SpaceParams, grid: QuadratureGrid) -> dict:
+    # the grid's jets live only in this frame, so a caller's second grid does
+    # not hold the first one's arrays
+    jets = f.jet(grid.points())
+    return {
+        "first_derivative": abs(jet0.v) ** 2
+        + grid.integrate(np.abs(jets.d1) ** 2, p.alpha),
+        "second_derivative": abs(jet0.v) ** 2
+        + abs(jet0.d1) ** 2
+        + grid.integrate(np.abs(jets.d2) ** 2, p.alpha + 2.0),
+    }
 
 
 @dataclass(frozen=True)

@@ -87,7 +87,9 @@ class SpectrumReport:
 
     ``floor`` is ``N eps ||T||_F`` of the N x N truncation ``T``: eigenvalues
     at or below it are rounding noise, so the JSON form counts them in
-    ``below_floor`` instead of printing them.
+    ``below_floor`` instead of printing them.  A match to such an eigenvalue
+    prints ``lambda`` as null and ``err`` as the bound
+    ``|predicted| + floor``; matching and ``passed`` use the raw values.
     """
 
     prediction: SpectrumPrediction
@@ -109,18 +111,16 @@ class SpectrumReport:
             "eigenvalues_N": [[v.real, v.imag] for v in shown],
             "eigenvalue_floor": self.floor,
             "below_floor": int(self.eigenvalues.size - shown.size),
-            "matches": [
-                {
-                    "n": m.index,
-                    "lambda": [m.eigenvalue.real, m.eigenvalue.imag],
-                    "err": m.error,
-                }
-                for m in self.matches
-            ],
+            "matches": [self._match_json(m) for m in self.matches],
             "convergence": [dict(row) for row in self.convergence],
             "fixed_point": [self.prediction.a.real, self.prediction.a.imag],
             "passed": self.passed,
         }
+
+    def _match_json(self, m: SpectrumMatch) -> dict:
+        if abs(m.eigenvalue) <= self.floor:
+            return {"n": m.index, "lambda": None, "err": abs(m.predicted) + self.floor}
+        return {"n": m.index, "lambda": [m.eigenvalue.real, m.eigenvalue.imag], "err": m.error}
 
 
 def predict_spectrum(

@@ -109,6 +109,32 @@ def test_norm_check_reports_both_variants():
     assert 0.1 <= doc["ratio_first_over_coeff"] <= 10.0
 
 
+def test_norm_check_evaluates_each_grid_once(monkeypatch, capsys):
+    # both equivalent norms come from one jet evaluation on the grid and one
+    # on its refinement, and each grid builds its Gauss-Legendre rule once
+    from wco import cli
+    from wco.spaces import QuadratureGrid
+
+    calls = {"points": 0, "leggauss": 0}
+    points, leggauss = QuadratureGrid.points, np.polynomial.legendre.leggauss
+
+    def counted_points(self):
+        calls["points"] += 1
+        return points(self)
+
+    def counted_leggauss(n):
+        calls["leggauss"] += 1
+        return leggauss(n)
+
+    monkeypatch.setattr(QuadratureGrid, "points", counted_points)
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted_leggauss)
+    code = cli.main(["norm-check", "--f", "polynomial:0,0,1",
+                     "--quad-R", "16", "--quad-T", "16"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["quad_second_derivative"]
+    assert calls == {"points": 2, "leggauss": 2}
+
+
 @pytest.mark.parametrize("n", ["2087", "3000", "4096"])
 def test_norm_check_runs_past_extraction_limit(n):
     # catalog functions have exact coefficients, so norm-check is not bound
@@ -207,10 +233,15 @@ def test_paper_examples_exx2_reports_fixed_point():
     "args",
     [
         ("analyze", "--alpha", "1.5", "--psi", "polynomial:1", "--phi", "identity"),
-        ("analyze", "--alpha", "0.5", "--N", "4", "--psi", "polynomial:1",
+        ("spectrum", "--alpha", "0.5", "--N", "4", "--psi", "polynomial:1",
          "--phi", "identity"),
         ("analyze", "--alpha", "0.5", "--M-max", "25", "--psi", "polynomial:1",
          "--phi", "identity"),
+        # options a subcommand does not read are not accepted
+        ("analyze", "--alpha", "0.5", "--N", "64", "--psi", "polynomial:1",
+         "--phi", "identity"),
+        ("kernel-check", *EX1_ARGS, "--T", "256"),
+        ("norm-check", "--f", "polynomial:0,0,1", "--psi", "identity"),
     ],
 )
 def test_run_config_ranges_enforced(args):
@@ -221,12 +252,15 @@ def test_outputs_byte_identical_across_thread_caps():
     # the BLAS thread count is the one cap the program's numerics see; at
     # N = 512 exx2 only reaches LAPACK with its small leading block, and its
     # noise eigenvalues, which a dense eigensolve varies with the thread
-    # count, fall below the printed floor
+    # count, fall below the printed floor; phi_r1 reaches LAPACK in full, and
+    # its match to the predicted 0 is a noise eigenvalue printed as null
     for sub in (
         ["analyze", *EX1_ARGS, "--M-max", "10"],
         ["spectrum", *EX1_ARGS, "--N", "24"],
         ["spectrum", "--alpha", "0.5", "--N", "512",
          "--psi", "polynomial:0,0,1", "--phi", "phi_rk:r=0.5,k=2"],
+        ["spectrum", "--alpha", "0.5", "--N", "512",
+         "--psi", "polynomial:1", "--phi", "phi_r1:r=0.6"],
     ):
         one, two = (
             run(*sub, env_extra={"OPENBLAS_NUM_THREADS": t, "OMP_NUM_THREADS": t})

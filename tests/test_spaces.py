@@ -179,15 +179,16 @@ def test_grid_has_unit_mass():
 def test_quadrature_norm_of_constant():
     grid = QuadratureGrid.make(64, 64)
     one = catalog.polynomial([1.0])
-    for variant in ("first_derivative", "second_derivative"):
-        res = norm_sq_quadrature(one, SpaceParams(0.5), grid, variant)
+    results = norm_sq_quadrature(one, SpaceParams(0.5), grid)
+    assert list(results) == ["first_derivative", "second_derivative"]
+    for res in results.values():
         assert abs(res.value - 1.0) <= 1e-12
 
 
 def test_quadrature_identity_function_alpha_zero():
     grid = QuadratureGrid.make(64, 64)
     f = catalog.identity()
-    res = norm_sq_quadrature(f, SpaceParams(0.0), grid, "first_derivative")
+    res = norm_sq_quadrature(f, SpaceParams(0.0), grid)["first_derivative"]
     assert abs(res.value - 1.0) <= 1e-12  # integral of |f'|^2 = 1 over unit-mass disc
     coeff = norm_sq_coeff(TaylorSeries([0, 1.0]), SpaceParams(0.0))
     assert abs(coeff - 2.0) <= 1e-15
@@ -196,7 +197,7 @@ def test_quadrature_identity_function_alpha_zero():
 def test_quadrature_stable_under_refinement():
     grid = QuadratureGrid.make(100, 128)
     f = catalog.polynomial([0, 0, 1.0])
-    res = norm_sq_quadrature(f, SpaceParams(0.5), grid, "first_derivative")
+    res = norm_sq_quadrature(f, SpaceParams(0.5), grid)["first_derivative"]
     assert not res.too_coarse
     assert res.relative_change <= 0.01
 
@@ -211,7 +212,7 @@ def test_norm_equivalence_ratio_window(alpha):
         (catalog.polynomial([1, 1, 1.0]), TaylorSeries([1, 1, 1.0])),
     ]
     for func, series in cases:
-        res = norm_sq_quadrature(func, p, grid, "first_derivative")
+        res = norm_sq_quadrature(func, p, grid)["first_derivative"]
         ratio = res.value / norm_sq_coeff(series, p)
         assert 0.1 <= ratio <= 10.0, (func.label, alpha, ratio)
         assert res.relative_change <= 0.02
@@ -222,14 +223,8 @@ def test_second_derivative_variant_for_quadratic():
     # the weighted disc mass of (1-r^2)^2 is 1/3
     grid = QuadratureGrid.make(128, 128)
     f = catalog.polynomial([0, 0, 1.0])
-    res = norm_sq_quadrature(f, SpaceParams(0.0), grid, "second_derivative")
+    res = norm_sq_quadrature(f, SpaceParams(0.0), grid)["second_derivative"]
     assert abs(res.value - 4.0 / 3.0) <= 1e-10
-
-
-def test_quadrature_rejects_unknown_variant():
-    grid = QuadratureGrid.make(16, 16)
-    with pytest.raises(ParameterError):
-        norm_sq_quadrature(catalog.identity(), SpaceParams(0.0), grid, "bogus")
 
 
 # --- growth bound -----------------------------------------------------------------------
