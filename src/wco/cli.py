@@ -26,6 +26,8 @@ from .operator import adjoint_kernel_check, assemble_matrix
 from .reportio import csv_line, render_json
 from .series import TaylorSeries
 from .spaces import (
+    QUAD_ANGULAR_COUNT,
+    QUAD_RADIAL_COUNT,
     QuadratureGrid,
     SpaceParams,
     norm_sq_coeff,
@@ -109,8 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("norm-check", help="coefficient vs quadrature norms")
     common(sp, symbols=False, grid=False)
     sp.add_argument("--f", required=True, dest="func")
-    sp.add_argument("--quad-R", type=int, default=200, dest="quad_r")
-    sp.add_argument("--quad-T", type=int, default=512, dest="quad_t")
+    sp.add_argument("--quad-R", type=int, default=QUAD_RADIAL_COUNT, dest="quad_r")
+    sp.add_argument("--quad-T", type=int, default=QUAD_ANGULAR_COUNT, dest="quad_t")
     sp.set_defaults(run=cmd_norm_check)
 
     sp = sub.add_parser("sweep", help="parameter sweeps to CSV")
@@ -364,11 +366,8 @@ def _scenario_ex1(alphas) -> dict:
 def _scenario_remark(alphas) -> dict:
     psi = catalog.polynomial([2.0, 1.0])
     phi = catalog.polynomial([0.5, 0.0, 0.5])
-    # the witness search reads alpha only to check 0 < alpha < 1, which every
-    # remark alpha meets, so one search serves them all
-    boundary = criteria.check_corollary_boundary_zero(
-        psi, phi, SpaceParams(alphas[0]), _SCENARIO_GRID
-    )
+    # the witness search does not depend on alpha, so one serves them all
+    boundary = criteria.check_corollary_boundary_zero(psi, phi, _SCENARIO_GRID)
     cases = []
     ok = True
     for alpha in alphas:

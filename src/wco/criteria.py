@@ -128,6 +128,7 @@ class CriteriaReport:
             },
             "verdicts": dict(self.verdicts),
             "assumed": list(self.assumed),
+            "flagged_samples": self.flagged_samples,
         }
 
 
@@ -317,14 +318,15 @@ class BoundaryZeroReport:
 def check_corollary_boundary_zero(
     psi: AnalyticFunction,
     phi: AnalyticFunction,
-    p: SpaceParams,
     grid: AnnularGrid | None = None,
     floor: float = 1e-2,
 ) -> BoundaryZeroReport:
     """Compactness forces the weight toward zero where the orbit and image
-    cling to the boundary together; report ``min |psi|`` over those samples."""
-    if not (0.0 < p.alpha < 1.0):
-        raise ParameterError("the boundary-zero obstruction is stated for alpha in (0,1)")
+    cling to the boundary together; report ``min |psi|`` over those samples.
+
+    Neither the witness search nor the verdict depends on alpha: a
+    ``not_compact`` verdict is the paper's obstruction for every alpha in
+    (0, 1) at once."""
     if grid is None:
         grid = AnnularGrid()
     if not psi.boundary_continuous:

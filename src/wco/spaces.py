@@ -12,7 +12,8 @@ carries the density ``(1-|z|^2)**alpha``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -165,34 +166,76 @@ def kernel_norm_sq(w, p: SpaceParams, order: int) -> KernelNormResult:
 # --- quadrature ---------------------------------------------------------------
 
 
+QUAD_RADIAL_COUNT = 25
+QUAD_ANGULAR_COUNT = 512
+
+
+def gauss_jacobi(count: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jacobi nodes ``t`` and weights ``w`` on [0, 1] for ``(1-t)**alpha``.
+
+    ``sum(w * g(t))`` equals ``int_0^1 g(t) (1-t)**alpha dt`` for every
+    polynomial ``g`` of degree at most ``2*count - 1``.  Golub-Welsch: the
+    nodes are the eigenvalues of the symmetric tridiagonal Jacobi matrix of
+    the Jacobi(alpha, 0) polynomials, mapped from [-1, 1] by ``t = (1+x)/2``,
+    and the weights are ``mu0 = 1/(alpha+1)`` times the squared first
+    components of its eigenvectors (Golub & Welsch, Math. Comp. 23, 1969).
+    """
+    k = np.arange(1.0, count)
+    s = 2.0 * k + alpha
+    diag = np.empty(count)
+    diag[0] = -alpha / (alpha + 2.0)
+    diag[1:] = -alpha * alpha / (s * (s + 2.0))
+    off = 2.0 * k * (k + alpha) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
+    jacobi = np.diag((1.0 + diag) / 2.0) + np.diag(off / 2.0, 1) + np.diag(off / 2.0, -1)
+    t, vectors = np.linalg.eigh(jacobi)
+    return t, vectors[0] ** 2 / (alpha + 1.0)
+
+
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Gauss-Legendre radial nodes on [0, 1) crossed with uniform angles.
+    """Gauss-Jacobi radial nodes in ``t = r^2`` crossed with uniform angles.
 
-    ``radial_weights`` already contain the Jacobian ``2r`` of the normalized
-    area measure, so integrating the constant 1 with ``alpha = 0`` gives 1.
-    The ``(1-r^2)**alpha`` density is folded into the integrand at the nodes;
-    they are interior, so negative ``alpha`` never evaluates at a blow-up.
+    Normalized area measure is ``dA = dt dtheta / (2 pi)``, so
+    ``int g (1-|z|^2)**alpha dA = int_0^1 M(t) (1-t)**alpha dt`` where ``M(t)``
+    is the angular mean of ``g`` on ``|z| = sqrt(t)``.  The radial rule is
+    Gauss-Jacobi for the weight ``(1-t)**weight``; :meth:`make` builds
+    ``weight = 0``, which is Gauss-Legendre in ``t``.  The radial integral is
+    exact when ``M(t) (1-t)**(alpha - weight)`` is a polynomial of degree at
+    most ``2*radial_count - 1``.  The nodes are interior, so negative
+    ``alpha`` never evaluates at a blow-up.  The rule is built on first use.
     """
 
-    radial_nodes: np.ndarray
-    radial_weights: np.ndarray
+    radial_count: int
     angular_count: int
+    weight: float = 0.0
+
+    def __post_init__(self):
+        if self.radial_count < 2 or self.angular_count < 4 or not self.weight > -1.0:
+            raise ParameterError(
+                "quadrature grid needs radial_count >= 2, angular_count >= 4, weight > -1"
+            )
 
     @classmethod
-    def make(cls, radial_count: int = 200, angular_count: int = 512) -> "QuadratureGrid":
-        if radial_count < 2 or angular_count < 4:
-            raise ParameterError("quadrature grid needs radial_count >= 2, angular_count >= 4")
-        x, wgl = np.polynomial.legendre.leggauss(radial_count)
-        r = (x + 1.0) / 2.0
-        w = wgl / 2.0 * 2.0 * r
-        r.setflags(write=False)
-        w.setflags(write=False)
-        return cls(radial_nodes=r, radial_weights=w, angular_count=angular_count)
+    def make(
+        cls, radial_count: int = QUAD_RADIAL_COUNT, angular_count: int = QUAD_ANGULAR_COUNT
+    ) -> "QuadratureGrid":
+        return cls(radial_count, angular_count)
+
+    @cached_property
+    def _rule(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        t, w = gauss_jacobi(self.radial_count, self.weight)
+        r = np.sqrt(t)
+        for a in (t, r, w):
+            a.setflags(write=False)
+        return t, r, w
 
     @property
-    def radial_count(self) -> int:
-        return self.radial_nodes.size
+    def radial_nodes(self) -> np.ndarray:
+        return self._rule[1]
+
+    @property
+    def radial_weights(self) -> np.ndarray:
+        return self._rule[2]
 
     def points(self) -> np.ndarray:
         """Complex sample points, shape (radial_count, angular_count)."""
@@ -204,12 +247,18 @@ class QuadratureGrid:
         vals = np.asarray(values)
         if vals.shape != (self.radial_count, self.angular_count):
             raise ParameterError("values must be sampled on this grid")
+        t, _, w = self._rule
         angular_mean = vals.mean(axis=1)
-        density = (1.0 - self.radial_nodes**2) ** alpha
-        return float(np.sum(self.radial_weights * density * angular_mean.real))
+        density = (1.0 - t) ** (alpha - self.weight)
+        return float(np.sum(w * density * angular_mean.real))
 
     def refined(self) -> "QuadratureGrid":
-        return QuadratureGrid.make(2 * self.radial_count, 2 * self.angular_count)
+        return replace(self, radial_count=2 * self.radial_count,
+                       angular_count=2 * self.angular_count)
+
+    def for_weight(self, alpha: float) -> "QuadratureGrid":
+        """The same counts with the radial rule for ``(1-t)**alpha``."""
+        return replace(self, weight=float(alpha))
 
 
 @dataclass(frozen=True)
@@ -227,10 +276,17 @@ def norm_sq_quadrature(
 
     ``first_derivative``: ``|f(0)|^2 + int |f'|^2 dA_alpha`` (alpha in (-1,1)).
     ``second_derivative``: ``|f(0)|^2 + |f'(0)|^2 + int |f''|^2 dA_{alpha+2}``.
-    One jet evaluation per grid serves both.  The computation is repeated on
-    a doubled grid; a relative change above 1% raises the ``too_coarse`` flag.
+    The radial rule is Gauss-Jacobi in ``t = r^2`` for ``(1-t)**alpha`` with
+    ``grid.radial_count`` nodes; the second form multiplies the polynomial
+    ``(1-t)**2`` into its integrand.  The angular means of ``|f'|^2`` and
+    ``|f''|^2`` are power series in ``t``, so both values are exact for a
+    polynomial ``f`` of degree below ``2*radial_count`` and at most
+    ``angular_count``.  One jet evaluation per grid serves both.
+    The computation is repeated on a doubled grid; a relative change above
+    1% raises the ``too_coarse`` flag.
     """
     p.require_core()
+    grid = grid.for_weight(p.alpha)
     jet0 = f.jet(0.0)
     coarse = _equivalent_norms_sq(f, jet0, p, grid)
     fine = _equivalent_norms_sq(f, jet0, p, grid.refined())

@@ -40,6 +40,7 @@ def test_analyze_power_weight_pair_is_compact():
     assert list(doc["quantities"]) == [
         "B1", "B2", "B3", "B4", "K_half_alpha", "K_half_alpha_plus1",
     ]
+    assert type(doc["flagged_samples"]) is int
 
 
 def test_analyze_remark_pair_not_compact():
@@ -111,28 +112,37 @@ def test_norm_check_reports_both_variants():
 
 def test_norm_check_evaluates_each_grid_once(monkeypatch, capsys):
     # both equivalent norms come from one jet evaluation on the grid and one
-    # on its refinement, and each grid builds its Gauss-Legendre rule once
-    from wco import cli
-    from wco.spaces import QuadratureGrid
+    # on its refinement, each grid builds its Gauss-Jacobi rule once, and no
+    # Gauss-Legendre rule is built
+    from wco import cli, spaces
 
     calls = {"points": 0, "leggauss": 0}
-    points, leggauss = QuadratureGrid.points, np.polynomial.legendre.leggauss
+    builds = []
+    points, rule = spaces.QuadratureGrid.points, spaces.gauss_jacobi
+    leggauss = np.polynomial.legendre.leggauss
 
     def counted_points(self):
         calls["points"] += 1
         return points(self)
 
+    def counted_rule(count, alpha):
+        builds.append((count, alpha))
+        return rule(count, alpha)
+
     def counted_leggauss(n):
         calls["leggauss"] += 1
         return leggauss(n)
 
-    monkeypatch.setattr(QuadratureGrid, "points", counted_points)
+    monkeypatch.setattr(spaces.QuadratureGrid, "points", counted_points)
+    monkeypatch.setattr(spaces, "gauss_jacobi", counted_rule)
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted_leggauss)
-    code = cli.main(["norm-check", "--f", "polynomial:0,0,1",
-                     "--quad-R", "16", "--quad-T", "16"])
+    code = cli.main(["norm-check", "--alpha", "-0.5", "--f", "polynomial:0,0,1"])
     assert code == 0
-    assert json.loads(capsys.readouterr().out)["quad_second_derivative"]
-    assert calls == {"points": 2, "leggauss": 2}
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["config"]["quad_r"] == 25 and doc["config"]["quad_t"] == 512
+    assert doc["quad_second_derivative"]
+    assert calls == {"points": 2, "leggauss": 0}
+    assert builds == [(25, -0.5), (50, -0.5)]
 
 
 @pytest.mark.parametrize("n", ["2087", "3000", "4096"])
@@ -253,7 +263,8 @@ def test_outputs_byte_identical_across_thread_caps():
     # N = 512 exx2 only reaches LAPACK with its small leading block, and its
     # noise eigenvalues, which a dense eigensolve varies with the thread
     # count, fall below the printed floor; phi_r1 reaches LAPACK in full, and
-    # its match to the predicted 0 is a noise eigenvalue printed as null
+    # its match to the predicted 0 is a noise eigenvalue printed as null;
+    # norm-check's radial rules come from 25 x 25 and 50 x 50 eigensolves
     for sub in (
         ["analyze", *EX1_ARGS, "--M-max", "10"],
         ["spectrum", *EX1_ARGS, "--N", "24"],
@@ -261,6 +272,7 @@ def test_outputs_byte_identical_across_thread_caps():
          "--psi", "polynomial:0,0,1", "--phi", "phi_rk:r=0.5,k=2"],
         ["spectrum", "--alpha", "0.5", "--N", "512",
          "--psi", "polynomial:1", "--phi", "phi_r1:r=0.6"],
+        ["norm-check", "--alpha", "-0.5", "--f", "psi_power:beta=2.5"],
     ):
         one, two = (
             run(*sub, env_extra={"OPENBLAS_NUM_THREADS": t, "OMP_NUM_THREADS": t})

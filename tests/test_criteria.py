@@ -248,9 +248,7 @@ def test_automorphism_requires_alpha_in_zero_one():
 
 
 def test_boundary_zero_obstruction_for_remark_pair():
-    rep = check_corollary_boundary_zero(
-        REMARK_PSI, REMARK_PHI, SpaceParams(0.5), DEEP
-    )
+    rep = check_corollary_boundary_zero(REMARK_PSI, REMARK_PHI, DEEP)
     assert rep.witness_count > 0
     assert rep.min_abs_psi > 2.9
     assert rep.verdict == "not_compact"
@@ -258,7 +256,7 @@ def test_boundary_zero_obstruction_for_remark_pair():
 
 def test_boundary_zero_inconclusive_when_weight_vanishes():
     rep = check_corollary_boundary_zero(
-        catalog.polynomial([1.0, -1.0]), REMARK_PHI, SpaceParams(0.5), DEEP
+        catalog.polynomial([1.0, -1.0]), REMARK_PHI, DEEP
     )
     assert rep.verdict == "inconclusive"
     assert rep.min_abs_psi < 1e-2
@@ -266,9 +264,7 @@ def test_boundary_zero_inconclusive_when_weight_vanishes():
 
 def test_boundary_zero_rejects_symbols_with_fixed_points():
     with pytest.raises(PreconditionError, match="fixed point"):
-        check_corollary_boundary_zero(
-            REMARK_PSI, catalog.affine(0, 0.5), SpaceParams(0.5)
-        )
+        check_corollary_boundary_zero(REMARK_PSI, catalog.affine(0, 0.5))
 
 
 # --- comparison monotonicity ----------------------------------------------------------------

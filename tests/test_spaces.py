@@ -12,6 +12,7 @@ from wco.spaces import (
     GrowthBoundReport,
     QuadratureGrid,
     SpaceParams,
+    gauss_jacobi,
     growth_bound_check,
     inner_product,
     kernel_norm_sq,
@@ -225,6 +226,47 @@ def test_second_derivative_variant_for_quadratic():
     f = catalog.polynomial([0, 0, 1.0])
     res = norm_sq_quadrature(f, SpaceParams(0.0), grid)["second_derivative"]
     assert abs(res.value - 4.0 / 3.0) <= 1e-10
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.5, 0.9])
+def test_quadrature_exact_for_z_squared(alpha):
+    # int |2z|^2 (1-|z|^2)^alpha dA = 4 B(2, alpha+1); the Gauss-Jacobi
+    # rule in t = r^2 is exact for it on the default grid
+    res = norm_sq_quadrature(
+        catalog.polynomial([0, 0, 1.0]), SpaceParams(alpha), QuadratureGrid.make()
+    )
+    want = 4.0 / ((alpha + 1.0) * (alpha + 2.0))
+    assert abs(res["first_derivative"].value - want) <= 1e-12
+    assert abs(res["second_derivative"].value - 4.0 / (alpha + 3.0)) <= 1e-12
+
+
+def _beta(a, b):
+    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+
+
+@pytest.mark.parametrize("spec", ["psi_power:beta=2.5", "mobius_self_map:lambda=0.6"])
+@pytest.mark.parametrize("alpha", [-0.5, 0.5])
+def test_quadrature_matches_coefficient_sum(spec, alpha):
+    # |a_0|^2 + sum_{n>=1} n^2 |a_n|^2 B(n, alpha+1) from exact coefficients
+    f = catalog.from_spec(spec)
+    a = np.abs(f.coefficients(4095))
+    want = a[0] ** 2 + math.fsum(
+        n * n * a[n] ** 2 * _beta(n, alpha + 1.0) for n in range(1, a.size)
+    )
+    res = norm_sq_quadrature(f, SpaceParams(alpha), QuadratureGrid.make())
+    for r in res.values():
+        assert not r.too_coarse
+    assert abs(res["first_derivative"].value - want) <= 1e-10 * want
+
+
+def test_gauss_jacobi_rule_integrates_beta_moments():
+    # int_0^1 t^m (1-t)^alpha dt = B(m+1, alpha+1), exact up to degree 2n-1
+    for alpha in (-0.5, 0.0, 0.9):
+        t, w = gauss_jacobi(25, alpha)
+        assert np.all((0.0 < t) & (t < 1.0))
+        for m in range(50):
+            want = _beta(m + 1.0, alpha + 1.0)
+            assert abs(np.sum(w * t**m) - want) <= 1e-13 * want
 
 
 # --- growth bound -----------------------------------------------------------------------
