@@ -590,9 +590,11 @@ def factor_tau(phi: AnalyticFunction) -> AnalyticFunction:
 
 _FP_MAX_ITER = 100_000
 _FP_STEP_TOL = 1e-13
-_FP_BOUNDARY = 1.0 - 1e-6
+_FP_CIRCLE_TOL = 1e-6
+_FP_BOUNDARY = 1.0 - _FP_CIRCLE_TOL
 _FP_ESCAPE_RUN = 100
-_FP_NEWTON_EVERY = 500
+_FP_FIRST_PROBE = 8
+_FP_PROBE_RESIDUAL = 1e-13
 
 
 def _newton_fixed_point(phi: AnalyticFunction, z0: complex, steps: int = 60):
@@ -620,9 +622,24 @@ def find_fixed_point(phi: AnalyticFunction) -> Optional[complex]:
     Iterates ``z -> phi(z)`` from 0; a stabilized interior orbit is polished
     with Newton.  An orbit that clings to the boundary for 100 consecutive
     steps means no interior fixed point (the attractor sits on the circle).
-    Slowly escaping orbits are classified by a periodic Newton probe, since
-    a parabolic boundary attractor is approached like 1/n and would exhaust
-    any step budget before crossing the escape threshold.
+
+    At orbit steps 8, 16, 32, ... (the powers of two) a Newton probe starts
+    from the current orbit point.  A probe ``w`` with
+    ``|phi(w) - w| < 1e-13`` decides the search in two cases and is ignored
+    otherwise (an exterior root, say, and the orbit goes on):
+
+    - inside the disc, ``|w| < 1 - 1e-6``: ``w`` is returned, since a
+      self-map other than the identity has at most one interior fixed point
+      (Schwarz's lemma);
+    - on the circle, ``||w| - 1| <= 1e-6`` with ``|phi'(w)| <= 1 + 1e-6``:
+      None.  By Julia's lemma a boundary fixed point with angular derivative
+      at most 1 is the Denjoy-Wolff point, and then there is no interior
+      fixed point (Cowen & MacCluer, *Composition Operators on Spaces of
+      Analytic Functions*, CRC 1995, sections 2.3-2.4).
+
+    The probes settle parabolic attractors, which the orbit approaches like
+    ``1/n`` and would take thousands of steps to escape, and the oscillating
+    orbits of elliptic automorphisms, which never settle.
     """
     if not phi.claims_self_map:
         raise PreconditionError("fixed-point search requires a self-map of the disc")
@@ -642,12 +659,19 @@ def find_fixed_point(phi: AnalyticFunction) -> Optional[complex]:
         else:
             escape_run = 0
         z = zn
-        if it % _FP_NEWTON_EVERY == 0:
-            probe = _newton_fixed_point(phi, z)
-            if probe is not None and abs(phi.value(probe) - probe) < 1e-13:
-                if abs(probe) < _FP_BOUNDARY:
-                    return probe
-                return None
+        if it < _FP_FIRST_PROBE or it & (it - 1):
+            continue
+        probe = _newton_fixed_point(phi, z)
+        if probe is None:
+            continue
+        jet = phi.jet(probe)
+        if abs(jet.v - probe) >= _FP_PROBE_RESIDUAL:
+            continue
+        if abs(probe) < _FP_BOUNDARY:
+            return probe
+        on_circle = abs(abs(probe) - 1.0) <= _FP_CIRCLE_TOL
+        if on_circle and abs(jet.d1) <= 1.0 + _FP_CIRCLE_TOL:
+            return None
     raise FixedPointInconclusive(
         "inconclusive fixed-point search: orbit neither settled in the disc "
         "nor escaped to the boundary within %d steps" % _FP_MAX_ITER

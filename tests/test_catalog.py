@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -330,8 +331,32 @@ def test_fixed_point_of_ex1_family_is_origin():
         assert abs(find_fixed_point(mobius_self_map(lam))) <= 1e-12
 
 
+def _counting(f):
+    """``f`` with a ``raw_jet`` that counts its calls in ``calls[0]``."""
+    calls = [0]
+
+    def raw(z):
+        calls[0] += 1
+        return f.raw_jet(z)
+
+    return dataclasses.replace(f, raw_jet=raw), calls
+
+
 def test_parabolic_map_has_no_interior_fixed_point():
-    assert find_fixed_point(polynomial([0.5, 0, 0.5])) is None
+    # (1 + z^2)/2 fixes 1 with phi'(1) = 1; its orbit creeps towards 1 like
+    # 1/n, so only a Newton probe landing on 1 ends the search early
+    f, calls = _counting(polynomial([0.5, 0, 0.5]))
+    assert find_fixed_point(f) is None
+    assert calls[0] <= 64
+
+
+@pytest.mark.parametrize("f", [affine(0.5, 0.5), polynomial([0.1, 0.9])], ids=lambda f: f.label)
+def test_hyperbolic_boundary_attractor_certified_in_few_evaluations(f):
+    # phi(1) = 1 with phi'(1) = 0.5 and 0.9: by Julia's lemma the
+    # Denjoy-Wolff point, so there is no interior fixed point
+    counted, calls = _counting(f)
+    assert find_fixed_point(counted) is None
+    assert calls[0] <= 32
 
 
 def test_fixed_point_of_exp_lft_family():
@@ -345,6 +370,29 @@ def test_fixed_point_of_exp_lft_family():
         exact = mpmath.findroot(
             lambda z: mpmath.exp(-mpmath.mpf(1.5) / (1 - z / 2)) - z, mpmath.mpf(0.2)
         )
+        assert abs(mpmath.mpmathify(a) - exact) <= 1e-16
+
+
+# Self-maps with an interior fixed point, ``phi(z) - z`` in mpmath and a
+# start for findroot.
+FIXED_POINT_CASES = [
+    (phi_r1(r), lambda m, z, r=r: m.exp((1 - m.mpf(r)) * (z + 1) / (m.mpf(r) * z - 1)) - z, 0.4)
+    for r in (0.2, 0.5, 0.8)
+] + [
+    (mobius_auto(0.5), lambda m, z: (m.mpf(0.5) - z) / (1 - m.mpf(0.5) * z) - z, 0.3),
+    # also fixes 1, with phi'(1) = 1.5: a repelling boundary fixed point,
+    # which must not hide the interior one at 1/3
+    (polynomial([0.25, 0, 0.75]), lambda m, z: m.mpf(0.25) + m.mpf(0.75) * z**2 - z, 0.3),
+]
+
+
+@pytest.mark.parametrize("f,residual,start", FIXED_POINT_CASES,
+                         ids=[f.label for f, _, _ in FIXED_POINT_CASES])
+def test_fixed_point_matches_40_digit_root(f, residual, start):
+    a = find_fixed_point(f)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        exact = mpmath.findroot(lambda z: residual(mpmath, z), mpmath.mpf(start))
         assert abs(mpmath.mpmathify(a) - exact) <= 1e-16
 
 
@@ -368,8 +416,8 @@ def test_fixed_point_requires_self_map():
 
 
 def test_fixed_point_of_elliptic_automorphism_via_newton_probe():
-    # the orbit of 0 under an involution oscillates forever; the periodic
-    # Newton probe still lands on the interior elliptic fixed point
+    # the orbit of 0 under an involution oscillates forever; the Newton
+    # probe at orbit step 8 lands on the interior elliptic fixed point
     f = mobius_auto(0.5)
     a = find_fixed_point(f)
     assert a is not None
