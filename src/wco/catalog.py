@@ -39,13 +39,15 @@ class Jet2:
 class AnalyticFunction:
     """A disc-analytic function with jet evaluation and catalog metadata.
 
-    ``raw_jet`` maps an ndarray of points to the ``(value, d1, d2)`` triple;
-    it must be vectorized and pure.  ``taylor(order)`` gives the exact Taylor
-    coefficients ``0..order`` about the origin and ``compose(g)`` those of
-    ``f(g(w))`` for the coefficients ``g`` of a disc-valued power series
-    (``g = [c, 1, 0, ...]`` recentres at ``c``), from closed forms and
-    recurrences rather than samples: float64 for real parameters and input,
-    else complex128.  Every function built here has both (``tau`` only
+    ``raw_jet`` maps an ndarray of points to the ``(value, d1, d2)`` triple
+    of arrays of the same shape; it must be elementwise and pure.  It
+    receives arrays of any shape: the criteria grids pass 2-D blocks of
+    whole circles, the quadrature its row blocks.  ``taylor(order)`` gives
+    the exact Taylor coefficients ``0..order`` about the origin and
+    ``compose(g)`` those of ``f(g(w))`` for the coefficients ``g`` of a
+    disc-valued power series (``g = [c, 1, 0, ...]`` recentres at ``c``),
+    from closed forms and recurrences rather than samples: float64 for real
+    parameters and input, else complex128.  Every function built here has both (``tau`` only
     ``taylor``); :meth:`coefficients` is the one way to get coefficients.
     Metadata is asserted by construction: ``claims_self_map`` promises
     ``|f| <= 1 + 1e-9`` on validation grids, ``known_fixed_point`` promises

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 
 import numpy as np
@@ -287,6 +288,8 @@ def _substitute(args, vary: str, value: float):
 def cmd_sweep(args) -> int:
     _validate_run_config(args)
     values = _parse_range(args.range_spec)
+    # one grid for every row, so the rows share its blocks
+    grid = criteria.AnnularGrid(m_max=args.m_max, t_base=args.t_base)
     lines = [csv_line(SWEEP_HEADER)]
     for value in values:
         alpha, psi_spec, phi_spec = _substitute(args, args.vary, value)
@@ -295,7 +298,6 @@ def cmd_sweep(args) -> int:
         psi = catalog.from_spec(psi_spec)
         phi = catalog.from_spec(phi_spec)
         p = SpaceParams(alpha)
-        grid = criteria.AnnularGrid(m_max=args.m_max, t_base=args.t_base)
         report = criteria.evaluate_quantities(psi, phi, p, grid)
         fp_re = fp_im = None
         spec_err = None
@@ -530,9 +532,15 @@ def cmd_paper_examples(args) -> int:
     return EXIT_OK if all_ok else 1
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: in-process callers run main many times, and
+    # parsing leaves the parser unchanged
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.run(args)
     except ParameterError as exc:

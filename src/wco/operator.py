@@ -123,7 +123,10 @@ def assemble_matrix(
         err = gamma * a * growth + 2.0 * gamma * l1_phi * 2.0 * k * a * shifted
     wk = p.basis_scale(n)  # (k+1)^{(alpha-1)/2}
     wj = 1.0 / p.basis_scale(n)  # (j+1)^{(1-alpha)/2}
-    entries = cols * wk[None, :] * wj[:, None]
+    # scaled in place: no N x N temporaries beside the columns
+    entries = cols
+    entries *= wk[None, :]
+    entries *= wj[:, None]
     if not np.all(np.isfinite(entries)):
         raise NumericsError("matrix assembly produced non-finite entries")
     return OperatorMatrix(

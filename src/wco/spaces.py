@@ -168,6 +168,12 @@ def kernel_norm_sq(w, p: SpaceParams, order: int) -> KernelNormResult:
 
 QUAD_RADIAL_COUNT = 25
 QUAD_ANGULAR_COUNT = 512
+# Most points one jet evaluation of a grid layer takes at once: the criteria
+# annuli and the quadrature rows are evaluated in blocks of whole circles up
+# to this size.  Larger blocks were no faster and raised the peak memory of a
+# call; smaller ones paid more per-call overhead.  A circle with more points
+# forms a block on its own.
+BLOCK_POINTS = 2048
 
 
 def gauss_jacobi(count: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -237,18 +243,35 @@ class QuadratureGrid:
     def radial_weights(self) -> np.ndarray:
         return self._rule[2]
 
+    def _circle(self) -> np.ndarray:
+        theta = 2.0 * np.pi * np.arange(self.angular_count) / self.angular_count
+        return np.exp(1j * theta)
+
     def points(self) -> np.ndarray:
         """Complex sample points, shape (radial_count, angular_count)."""
-        theta = 2.0 * np.pi * np.arange(self.angular_count) / self.angular_count
-        return self.radial_nodes[:, None] * np.exp(1j * theta)[None, :]
+        return self.radial_nodes[:, None] * self._circle()[None, :]
+
+    def point_blocks(self):
+        """``(rows, z)`` for consecutive row slices of :meth:`points`: as many
+        rows as fit in ``BLOCK_POINTS`` points, or one row when a row alone
+        has more.  ``z`` equals ``points()[rows]`` bit for bit."""
+        circle = self._circle()
+        step = max(1, BLOCK_POINTS // self.angular_count)
+        for start in range(0, self.radial_count, step):
+            rows = slice(start, min(start + step, self.radial_count))
+            yield rows, self.radial_nodes[rows, None] * circle[None, :]
 
     def integrate(self, values: np.ndarray, alpha: float) -> float:
         """Integrate grid samples against ``(1-|z|^2)**alpha dA``."""
         vals = np.asarray(values)
         if vals.shape != (self.radial_count, self.angular_count):
             raise ParameterError("values must be sampled on this grid")
+        return self.radial_integral(vals.mean(axis=1), alpha)
+
+    def radial_integral(self, angular_mean: np.ndarray, alpha: float) -> float:
+        """Integrate per-circle angular means, one per radial node, against
+        ``(1-|z|^2)**alpha dA``; :meth:`integrate` takes the means itself."""
         t, _, w = self._rule
-        angular_mean = vals.mean(axis=1)
         density = (1.0 - t) ** (alpha - self.weight)
         return float(np.sum(w * density * angular_mean.real))
 
@@ -281,9 +304,10 @@ def norm_sq_quadrature(
     ``(1-t)**2`` into its integrand.  The angular means of ``|f'|^2`` and
     ``|f''|^2`` are power series in ``t``, so both values are exact for a
     polynomial ``f`` of degree below ``2*radial_count`` and at most
-    ``angular_count``.  One jet evaluation per grid serves both.
-    The computation is repeated on a doubled grid; a relative change above
-    1% raises the ``too_coarse`` flag.
+    ``angular_count``.  One jet evaluation per grid serves both, taken in
+    row blocks of at most ``BLOCK_POINTS`` points whose angular means are
+    kept, so no full-grid array is held.  The computation is repeated on a
+    doubled grid; a relative change above 1% raises the ``too_coarse`` flag.
     """
     p.require_core()
     grid = grid.for_weight(p.alpha)
@@ -298,15 +322,18 @@ def norm_sq_quadrature(
 
 
 def _equivalent_norms_sq(f, jet0, p: SpaceParams, grid: QuadratureGrid) -> dict:
-    # the grid's jets live only in this frame, so a caller's second grid does
-    # not hold the first one's arrays
-    jets = f.jet(grid.points())
+    # the row means equal those grid.integrate takes of the full-grid arrays
+    d1_mean = np.empty(grid.radial_count)
+    d2_mean = np.empty(grid.radial_count)
+    for rows, z in grid.point_blocks():
+        jets = f.jet(z)
+        d1_mean[rows] = (np.abs(jets.d1) ** 2).mean(axis=1)
+        d2_mean[rows] = (np.abs(jets.d2) ** 2).mean(axis=1)
     return {
-        "first_derivative": abs(jet0.v) ** 2
-        + grid.integrate(np.abs(jets.d1) ** 2, p.alpha),
+        "first_derivative": abs(jet0.v) ** 2 + grid.radial_integral(d1_mean, p.alpha),
         "second_derivative": abs(jet0.v) ** 2
         + abs(jet0.d1) ** 2
-        + grid.integrate(np.abs(jets.d2) ** 2, p.alpha + 2.0),
+        + grid.radial_integral(d2_mean, p.alpha + 2.0),
     }
 
 

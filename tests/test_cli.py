@@ -111,19 +111,27 @@ def test_norm_check_reports_both_variants():
 
 
 def test_norm_check_evaluates_each_grid_once(monkeypatch, capsys):
-    # both equivalent norms come from one jet evaluation on the grid and one
-    # on its refinement, each grid builds its Gauss-Jacobi rule once, and no
-    # Gauss-Legendre rule is built
+    # both equivalent norms come from one pass over the grid's row blocks and
+    # one over its refinement's, each point is evaluated once, no full-grid
+    # point array is built, each grid builds its Gauss-Jacobi rule once, and
+    # no Gauss-Legendre rule is built
     from wco import cli, spaces
 
-    calls = {"points": 0, "leggauss": 0}
+    calls = {"points": 0, "point_blocks": 0, "samples": 0, "leggauss": 0}
     builds = []
     points, rule = spaces.QuadratureGrid.points, spaces.gauss_jacobi
+    point_blocks = spaces.QuadratureGrid.point_blocks
     leggauss = np.polynomial.legendre.leggauss
 
     def counted_points(self):
         calls["points"] += 1
         return points(self)
+
+    def counted_point_blocks(self):
+        calls["point_blocks"] += 1
+        for rows, z in point_blocks(self):
+            calls["samples"] += z.size
+            yield rows, z
 
     def counted_rule(count, alpha):
         builds.append((count, alpha))
@@ -134,6 +142,7 @@ def test_norm_check_evaluates_each_grid_once(monkeypatch, capsys):
         return leggauss(n)
 
     monkeypatch.setattr(spaces.QuadratureGrid, "points", counted_points)
+    monkeypatch.setattr(spaces.QuadratureGrid, "point_blocks", counted_point_blocks)
     monkeypatch.setattr(spaces, "gauss_jacobi", counted_rule)
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted_leggauss)
     code = cli.main(["norm-check", "--alpha", "-0.5", "--f", "polynomial:0,0,1"])
@@ -141,7 +150,9 @@ def test_norm_check_evaluates_each_grid_once(monkeypatch, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["config"]["quad_r"] == 25 and doc["config"]["quad_t"] == 512
     assert doc["quad_second_derivative"]
-    assert calls == {"points": 2, "leggauss": 0}
+    assert calls == {
+        "points": 0, "point_blocks": 2, "samples": 25 * 512 + 50 * 1024, "leggauss": 0,
+    }
     assert builds == [(25, -0.5), (50, -0.5)]
 
 
@@ -280,6 +291,24 @@ def test_outputs_byte_identical_across_thread_caps():
         )
         assert one.returncode == two.returncode == 0
         assert one.stdout == two.stdout
+
+
+def test_in_process_calls_match_fresh_processes(capsys):
+    # main builds its parser once per process; after a usage error, two
+    # different subcommands in the same process print what fresh processes do
+    from wco import cli
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["analyze", "--M-max"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    for sub in (
+        ["analyze", *EX1_ARGS, "--M-max", "8"],
+        ["norm-check", "--alpha", "-0.5", "--f", "psi_power:beta=2.5"],
+    ):
+        assert cli.main(sub) == 0
+        assert capsys.readouterr().out.encode() == run(*sub).stdout
+    assert cli._parser() is cli._parser()
 
 
 def test_out_flag_writes_file(tmp_path):

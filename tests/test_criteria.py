@@ -3,21 +3,32 @@ import pytest
 
 from wco import catalog
 from wco.criteria import (
+    QUANTITY_TAGS,
     AnnularGrid,
+    _median,
     check_corollary_automorphism,
     check_corollary_boundary_zero,
     classify_decay,
     comparison_monotonicity,
     evaluate_quantities,
+    self_map_grid_max,
 )
 from wco.errors import ParameterError, PreconditionError
 from wco.reportio import render_json
-from wco.spaces import SpaceParams
+from wco.spaces import BLOCK_POINTS, SpaceParams
 
 DEEP = AnnularGrid(m_max=24, t_base=256)
 ONE = catalog.polynomial([1.0])
 REMARK_PSI = catalog.polynomial([2.0, 1.0])
 REMARK_PHI = catalog.polynomial([0.5, 0.0, 0.5])
+# image hugging the circle at 1e-15 puts 1-|phi|^2 under the 1e-14 guard
+HUGGING_PHI = catalog.custom(
+    "hugging_constant",
+    lambda z: np.full(np.shape(z), 1.0 - 1e-15, complex),
+    lambda z: np.zeros(np.shape(z), complex),
+    lambda z: np.zeros(np.shape(z), complex),
+    claims_self_map=True,
+)
 
 
 def ex1_pair(alpha):
@@ -57,6 +68,14 @@ def test_classify_creeping_decay_reads_as_level():
     # distinguish it from a plateau on four annuli
     s = [0.9 ** m for m in range(1, 15)]
     assert classify_decay(s) == "bounded_positive"
+
+
+@pytest.mark.parametrize("size", [5, 6, 14, 24])
+def test_median_equals_numpy_median(size):
+    rng = np.random.default_rng(size)
+    for s in (rng.random(size), rng.random(size) * 1e-300, np.zeros(size),
+              np.r_[rng.random(size - 1), np.nan]):
+        assert repr(_median(s)) == repr(float(np.median(s)))
 
 
 # --- quantity evaluation -----------------------------------------------------------
@@ -141,16 +160,7 @@ def test_non_self_map_rejected():
 
 
 def test_unit_modulus_samples_flagged_not_fatal():
-    # image hugging the circle at 1e-15 puts 1-|phi|^2 under the 1e-14 guard
-    hug = 1.0 - 1e-15
-    phi = catalog.custom(
-        "hugging_constant",
-        lambda z: np.full(np.shape(z), hug, complex),
-        lambda z: np.zeros(np.shape(z), complex),
-        lambda z: np.zeros(np.shape(z), complex),
-        claims_self_map=True,
-    )
-    report = evaluate_quantities(ONE, phi, SpaceParams(0.5))
+    report = evaluate_quantities(ONE, HUGGING_PHI, SpaceParams(0.5))
     assert report.flagged_samples > 0
     assert report.quantities["B1"].verdict == "tends_to_zero"
 
@@ -159,6 +169,143 @@ def test_sufficient_requires_univalence_metadata():
     # (1+z^2)/2 is an even map, so the sufficient-side theory is inapplicable
     report = evaluate_quantities(ONE, REMARK_PHI, SpaceParams(0.5))
     assert report.verdicts["sufficient_bounded"] is False
+
+
+# --- grid blocks ---------------------------------------------------------------------
+
+# t_base 600 splits each angular count over several blocks (3 levels of 600
+# points, then 1 level of 1200), t_base 1500 gives one-level blocks above the
+# cap (3000 points), and 256 at M-max 24 splits only the doubled count
+BLOCK_GRIDS = [
+    AnnularGrid(m_max=14),
+    AnnularGrid(m_max=20),
+    DEEP,
+    AnnularGrid(m_max=14, t_base=600),
+    AnnularGrid(m_max=10, t_base=1500),
+]
+
+
+def _grid_id(grid):
+    return "M%d_T%d" % (grid.m_max, grid.t_base)
+
+
+BLOCK_PAIRS = {
+    "ex1": ex1_pair(0.5),
+    "remark": (REMARK_PSI, REMARK_PHI),
+    "phi_r1": (ONE, catalog.phi_r1(0.6)),
+    "hugging": (ONE, HUGGING_PHI),
+}
+
+
+@pytest.mark.parametrize("grid", BLOCK_GRIDS, ids=_grid_id)
+def test_blocks_cover_each_level_once_within_the_cap(grid):
+    levels = [m for block_levels, _, _ in grid.blocks for m in block_levels]
+    assert levels == list(grid.levels())
+    for block_levels, z, om in grid.blocks:
+        counts = {grid.angular_count(m) for m in block_levels}
+        assert len(counts) == 1
+        assert z.shape == (len(block_levels), counts.pop())
+        assert z.size <= BLOCK_POINTS or len(block_levels) == 1
+        assert om.shape == (len(block_levels), 1)
+        for row, m in enumerate(block_levels):
+            assert np.array_equal(z[row], grid.points(m))
+            assert om[row, 0] == grid.one_minus_r_sq(m)
+        assert not z.flags.writeable and not om.flags.writeable
+    assert grid.blocks is grid.blocks
+
+
+def _per_level_quantities(psi, phi, alpha, grid):
+    """The six quantities one annulus at a time, flagged samples dropped."""
+    per_tag = {tag: [] for tag in QUANTITY_TAGS}
+    flagged = 0
+    for m in grid.levels():
+        z = grid.points(m)
+        om = grid.one_minus_r_sq(m)
+        pv, p1, p2 = psi.raw_jet(z)
+        fv, f1, f2 = phi.raw_jet(z)
+        omf = 1.0 - np.abs(fv) ** 2
+        bad = omf < 1e-14
+        flagged += int(np.count_nonzero(bad))
+        ratio = np.where(bad, np.nan, om / np.where(bad, 1.0, omf))
+        vals = {
+            "B1": np.abs(p2) * om,
+            "B2": np.abs(f1 * p1) * om,
+            "B3": np.abs(f2 * pv) * om,
+            "B4": np.abs(f1 * pv) * ratio ** (alpha / 2.0 + 1.0),
+            "K_half_alpha": np.abs(pv) * ratio ** (alpha / 2.0),
+            "K_half_alpha_plus1": np.abs(pv) * ratio ** (alpha / 2.0 + 1.0),
+        }
+        for tag, arr in vals.items():
+            keep = arr[~np.isnan(arr)]
+            per_tag[tag].append(float(np.max(keep)) if keep.size else 0.0)
+    return per_tag, flagged
+
+
+@pytest.mark.parametrize("grid", BLOCK_GRIDS, ids=_grid_id)
+@pytest.mark.parametrize("pair", list(BLOCK_PAIRS))
+def test_block_quantities_equal_per_level_loop(pair, grid):
+    psi, phi = BLOCK_PAIRS[pair]
+    report = evaluate_quantities(psi, phi, SpaceParams(0.5), grid)
+    per_tag, flagged = _per_level_quantities(psi, phi, 0.5, grid)
+    assert report.flagged_samples == flagged
+    if pair == "hugging":
+        # every sample is flagged, so the ratio quantities read 0.0 per level
+        assert flagged == sum(grid.angular_counts())
+        assert per_tag["B4"] == [0.0] * grid.m_max
+    for tag in QUANTITY_TAGS:
+        q = report.quantities[tag]
+        assert q.annulus_max.tolist() == per_tag[tag], tag
+        assert q.global_max == max(per_tag[tag])
+        assert q.verdict == classify_decay(per_tag[tag]), tag
+
+
+@pytest.mark.parametrize("grid", BLOCK_GRIDS[2:], ids=_grid_id)
+def test_block_corollary_checks_equal_per_level_loops(grid):
+    alpha, beta = 0.25, 0.75
+    psi, phi = ex1_pair(0.5)
+    levels = [(grid.points(m), grid.one_minus_r_sq(m)) for m in grid.levels()]
+
+    def quotient(f, z, om, a):
+        return (om / (1.0 - np.abs(f(z)) ** 2)) ** (a / 2.0)
+
+    rep = comparison_monotonicity(psi, phi, alpha, beta, grid)
+    want = max(
+        float(np.max(np.abs(psi(z)) * quotient(phi, z, om, beta)
+                     - np.abs(psi(z)) * quotient(phi, z, om, alpha)))
+        for z, om in levels
+    )
+    assert rep.origin_fixed and rep.max_violation == want
+
+    off = catalog.affine(0.5, 0.3)
+    rep = comparison_monotonicity(ONE, off, alpha, beta, grid)
+    gv = catalog.mobius_auto(0.5)
+    q = [quotient(off, z, om, alpha) / quotient(lambda w: gv(off(w)), z, om, alpha)
+         for z, om in levels]
+    assert rep.observed_quotient == (
+        min(float(np.min(v)) for v in q), max(float(np.max(v)) for v in q)
+    )
+
+    auto = catalog.mobius_auto(0.5)
+    rep = check_corollary_automorphism(psi, 0.5, SpaceParams(0.5), grid)
+    const = rep.lower_constant
+    want = max(
+        float(np.max(const * np.abs(psi(z))
+                     - np.abs(psi(z)) * quotient(auto, z, om, 0.5)))
+        for z, om in levels
+    )
+    assert rep.max_violation == want
+    assert rep.outer_annulus_max_psi == float(np.max(np.abs(psi(levels[-1][0]))))
+
+    assert self_map_grid_max(phi, grid) == max(
+        float(np.max(np.abs(phi(z)))) for z, _ in levels
+    )
+
+    rep = check_corollary_boundary_zero(REMARK_PSI, REMARK_PHI, grid)
+    z = levels[-1][0]
+    fv = REMARK_PHI(z)
+    mask = (np.abs(fv) > rep.threshold_radius) & (np.abs(fv - z) < 0.125)
+    assert rep.witness_count == int(np.count_nonzero(mask))
+    assert rep.min_abs_psi == float(np.min(np.abs(REMARK_PSI(z[mask]))))
 
 
 # --- report invariants ----------------------------------------------------------------

@@ -9,9 +9,11 @@ from wco import catalog
 from wco.errors import ParameterError, PreconditionError
 from wco.series import TaylorSeries
 from wco.spaces import (
+    BLOCK_POINTS,
     GrowthBoundReport,
     QuadratureGrid,
     SpaceParams,
+    _equivalent_norms_sq,
     gauss_jacobi,
     growth_bound_check,
     inner_product,
@@ -238,6 +240,47 @@ def test_quadrature_exact_for_z_squared(alpha):
     want = 4.0 / ((alpha + 1.0) * (alpha + 2.0))
     assert abs(res["first_derivative"].value - want) <= 1e-12
     assert abs(res["second_derivative"].value - 4.0 / (alpha + 3.0)) <= 1e-12
+
+
+# 25 x 512 and its refinement are the norm-check defaults; 25 x 600 leaves a
+# one-row last block, 9 x 3000 has rows above the cap
+ROW_BLOCK_GRIDS = [
+    QuadratureGrid.make(),
+    QuadratureGrid.make().refined(),
+    QuadratureGrid.make(25, 600),
+    QuadratureGrid.make(9, 3000),
+]
+
+
+@pytest.mark.parametrize("grid", ROW_BLOCK_GRIDS, ids=lambda g: "%dx%d" % (
+    g.radial_count, g.angular_count))
+def test_point_blocks_are_the_rows_of_points(grid):
+    full = grid.points()
+    start = 0
+    for rows, z in grid.point_blocks():
+        assert rows.start == start
+        assert z.size <= BLOCK_POINTS or z.shape[0] == 1
+        assert np.array_equal(z, full[rows])
+        start = rows.stop
+    assert start == grid.radial_count
+
+
+@pytest.mark.parametrize("grid", ROW_BLOCK_GRIDS, ids=lambda g: "%dx%d" % (
+    g.radial_count, g.angular_count))
+@pytest.mark.parametrize("spec", ["psi_power:beta=2.5", "phi_rk:r=0.5,k=2"])
+@pytest.mark.parametrize("alpha", [-0.5, 0.5])
+def test_row_blocked_norms_equal_full_grid_integrals(grid, spec, alpha):
+    f = catalog.from_spec(spec)
+    grid = grid.for_weight(alpha)
+    jet0 = f.jet(0.0)
+    jets = f.jet(grid.points())
+    got = _equivalent_norms_sq(f, jet0, SpaceParams(alpha), grid)
+    assert got["first_derivative"] == abs(jet0.v) ** 2 + grid.integrate(
+        np.abs(jets.d1) ** 2, alpha
+    )
+    assert got["second_derivative"] == abs(jet0.v) ** 2 + abs(jet0.d1) ** 2 + (
+        grid.integrate(np.abs(jets.d2) ** 2, alpha + 2.0)
+    )
 
 
 def _beta(a, b):
