@@ -2,7 +2,9 @@
 """Truncation-size convergence study for the spectral verification.
 
 For a chosen symbol pair, assembles truncations across a ladder of sizes,
-matches dense eigenvalues against the fixed-point prediction, and prints the
+matches their eigenvalues (``truncated_eigenvalues``: only the smallest
+leading block with a negligible upper tail goes to LAPACK, the rest is the
+diagonal) against the fixed-point prediction, and prints the
 per-size worst error over the leading modes together with the conjugated
 triangular diagonal as the second route.
 

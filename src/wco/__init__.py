@@ -29,21 +29,8 @@ from .errors import (
     PreconditionError,
     WcoError,
 )
-from .operator import (
-    OperatorMatrix,
-    adjoint_kernel_check,
-    apply_operator,
-    assemble_matrix,
-    matrix_apply,
-)
-from .series import (
-    TaylorSeries,
-    antiderivative,
-    cauchy_product,
-    derivative,
-    evaluate,
-    extract_coeffs,
-)
+from .operator import OperatorMatrix, adjoint_kernel_check, assemble_matrix
+from .series import TaylorSeries, derivative, evaluate
 from .spaces import (
     KernelVector,
     QuadratureGrid,

@@ -141,6 +141,9 @@ def _validate_run_config(args) -> None:
         raise ParameterError("N must lie in [8, 4096]")
     if hasattr(args, "m_max") and not (6 <= args.m_max <= 20):
         raise ParameterError("M-max must lie in [6, 20]")
+    # gauss_jacobi builds dense R x R matrices, and norm-check also 2R x 2R
+    if hasattr(args, "quad_r") and args.quad_r > 1024:
+        raise ParameterError("quad-R must be at most 1024")
 
 
 def _config_dict(args, command: str) -> dict:
@@ -199,6 +202,10 @@ def cmd_kernel_check(args) -> int:
     _validate_run_config(args)
     if not (0.0 < args.z_cap <= 0.8):
         raise ParameterError("z-cap must lie in (0, 0.8]")
+    if args.points < 1:
+        raise ParameterError("points must be positive")
+    if args.seed < 0:
+        raise ParameterError("seed must be nonnegative")
     psi, phi = _functions(args)
     p = SpaceParams(args.alpha)
     matrix = assemble_matrix(psi, phi, p, args.n)

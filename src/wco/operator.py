@@ -7,8 +7,8 @@ Column ``k`` of the truncation holds the Taylor coefficients of
 them is refused.  The columns then follow by direct truncated convolution,
 so real symbols give real matrices and ``phi(0) = 0`` gives an exactly
 lower-triangular one.  The whole assembly is deterministic for fixed inputs
-and a fixed BLAS thread count.  :func:`apply_operator` is the independent,
-circle-sampled reference for the matrix route.
+and a fixed BLAS thread count.  The tests check it against an independent
+exact route, Horner composition and one convolution from the catalog.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .catalog import AnalyticFunction
 from .errors import NumericsError, ParameterError, PreconditionError
-from .series import TaylorSeries, evaluate, extract_coeffs
 from .spaces import SpaceParams, kernel_coordinates, kernel_vector
 
 
@@ -32,7 +31,8 @@ class OperatorMatrix:
     complex128 otherwise.  ``col_errors[k]`` bounds the rounding error of
     column ``k`` in matrix-entry scale (see :func:`assemble_matrix`).
     ``warnings`` is always empty: every truncation is assembled from exact
-    coefficients.
+    coefficients.  The field stays because the benchmark's assembly hook
+    reads it.
     """
 
     entries: np.ndarray
@@ -136,39 +136,6 @@ def assemble_matrix(
         phi_label=phi.label,
         col_errors=err * wk * np.max(wj),
     )
-
-
-def apply_operator(
-    psi: AnalyticFunction,
-    phi: AnalyticFunction,
-    f: TaylorSeries,
-    p: SpaceParams,
-    n: int,
-) -> tuple[TaylorSeries, float]:
-    """Coefficients ``0..N-1`` of ``psi * (f o phi)`` extracted from the
-    point evaluator, with the aliasing estimate.
-
-    Independent of the matrix route: the truncated ``f`` is evaluated at
-    ``phi`` of the circle samples directly.
-    """
-    p.require_core()
-    if not phi.claims_self_map:
-        raise PreconditionError(
-            "phi is not a verified self-map of the disc; composition with f "
-            "requires one"
-        )
-    return extract_coeffs(lambda z: psi.value(z) * evaluate(f, phi.value(z)), n - 1)
-
-
-def matrix_apply(m: OperatorMatrix, f: TaylorSeries) -> TaylorSeries:
-    """Apply the truncation through basis coordinates; returns monomial coeffs."""
-    n = m.size
-    coeffs = np.zeros(n, dtype=np.complex128)
-    take = min(n, f.order + 1)
-    coeffs[:take] = f.coeffs[:take]
-    x = coeffs / m.params.basis_scale(n)
-    y = m.entries @ x
-    return TaylorSeries(y * m.params.basis_scale(n))
 
 
 @dataclass(frozen=True)

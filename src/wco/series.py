@@ -1,13 +1,11 @@
-"""Truncated Taylor series arithmetic and circle-sampling coefficient extraction.
+"""Truncated Taylor series arithmetic and the circle DFT.
 
 A :class:`TaylorSeries` is the finite expansion ``sum_{n=0}^{order} c_n z^n``
-about the origin with complex coefficients.  Circle sampling serves only
-``wco.operator.apply_operator``, the sampled reference that the tests
-compare the exact matrix route against: :func:`extract_coeffs` samples the
-one circle ``|z| = SAMPLE_RADIUS`` at :func:`sample_count` points and applies
-a single FFT; the aliasing indicator (the largest coefficient in the top
-quarter of the extracted range) is always returned next to the series, never
-discarded.
+about the origin with complex coefficients.  Every coefficient the package
+uses is exact (``AnalyticFunction.coefficients``), and no program path
+samples a circle: :func:`dft_coefficient_rows` and its guards have no
+caller in the package and stay only because the benchmark's tracer hooks
+them by name.
 """
 
 from __future__ import annotations
@@ -19,11 +17,8 @@ import numpy as np
 
 from .errors import ParameterError, PreconditionError
 
-# The one extraction circle.  rho**(-order) amplifies the rounding of the
-# samples; beyond e**219.7 (about 1e95) the coefficients are noise.  At
-# radius 0.9 this admits orders up to 2085, which limits apply_operator to
-# N <= 2086; no other program path samples a circle.
-SAMPLE_RADIUS = 0.9
+# radius**(-order) amplifies the rounding of circle samples; beyond e**219.7
+# (about 1e95) the recovered coefficients are noise.
 _LOG_AMPLIFICATION_LIMIT = 219.7
 
 
@@ -54,23 +49,6 @@ class TaylorSeries:
         )
 
 
-def sample_count(order: int) -> int:
-    """Samples for an extraction up to ``order``: the smallest power of two
-    that is at least 512 and at least ``4 * (order + 2)``."""
-    count = 512
-    while count < 4 * (order + 2):
-        count *= 2
-    return count
-
-
-def cauchy_product(f: TaylorSeries, g: TaylorSeries) -> TaylorSeries:
-    """Product truncated to the smaller order: ``c_j = sum_{i<=j} f_i g_{j-i}``."""
-    n = min(f.order, g.order)
-    fc = f.coeffs[: n + 1]
-    gc = g.coeffs[: n + 1]
-    return TaylorSeries(np.convolve(fc, gc)[: n + 1])
-
-
 def derivative(f: TaylorSeries) -> TaylorSeries:
     """Termwise derivative, order drops by one."""
     if f.order < 1:
@@ -79,15 +57,6 @@ def derivative(f: TaylorSeries) -> TaylorSeries:
         )
     n = np.arange(1, f.order + 1)
     return TaylorSeries(n * f.coeffs[1:])
-
-
-def antiderivative(f: TaylorSeries) -> TaylorSeries:
-    """Termwise antiderivative with vanishing constant term."""
-    n = np.arange(1, f.order + 2)
-    out = np.empty(f.order + 2, dtype=np.complex128)
-    out[0] = 0.0
-    out[1:] = f.coeffs / n
-    return TaylorSeries(out)
 
 
 def evaluate(f: TaylorSeries, z):
@@ -142,38 +111,10 @@ def dft_coefficient_rows(samples: np.ndarray, radius: float, order: int) -> np.n
     m = s.shape[1]
     if m < 2 * (order + 1):
         raise PreconditionError(
-            "sample_count must be at least 2*(order+1) to resolve order %d"
+            "resolving order %d needs at least 2*(order+1) samples per row"
             % order
         )
     _check_amplification(radius, order)
     n = np.arange(order + 1)
     return np.fft.fft(s, axis=1)[:, : order + 1] / (m * radius**n)
 
-
-def aliasing_estimate(coeffs: np.ndarray) -> float:
-    """Largest coefficient magnitude in the top quarter of the extracted range."""
-    count = coeffs.shape[-1]
-    start = count - max(1, count // 4)
-    return float(np.max(np.abs(coeffs[..., start:])))
-
-
-def extract_coeffs(f, order: int) -> tuple[TaylorSeries, float]:
-    """Recover Taylor coefficients ``0..order`` of a point evaluator by
-    sampling the circle ``|z| = SAMPLE_RADIUS`` at ``sample_count(order)``
-    points.
-
-    ``f`` must accept an ndarray of complex points inside the disc and return
-    the values elementwise.  Returns the truncated series together with the
-    aliasing indicator for the extraction.  Functions with exact coefficients
-    should go through ``AnalyticFunction.coefficients`` instead.
-    """
-    if order < 0:
-        raise ParameterError("order must be nonnegative")
-    z = circle_points(SAMPLE_RADIUS, sample_count(order))
-    vals = np.asarray(f(z), dtype=np.complex128)
-    if vals.shape != z.shape:
-        vals = np.broadcast_to(vals, z.shape)
-    if not np.all(np.isfinite(vals)):
-        raise PreconditionError("evaluator not analytic on sampling circle")
-    coeffs = dft_coefficient_rows(vals, SAMPLE_RADIUS, order)[0]
-    return TaylorSeries(coeffs), aliasing_estimate(coeffs)

@@ -27,8 +27,9 @@ class SpaceParams:
     """Weight parameter of the space scale.
 
     ``alpha`` in (-1, 1) is required by every operation tied to the
-    boundedness/compactness/spectrum theory; values up to and including the
-    Bergman-side helpers admit ``alpha >= 1``.
+    boundedness/compactness/spectrum theory (:meth:`require_core`); the
+    coefficient weights and norms, the Bergman-side ones included, also
+    admit ``alpha >= 1``.
     """
 
     alpha: float

@@ -181,8 +181,8 @@ def test_norm_check_matches_high_precision_coefficients():
 
 
 def test_catalog_pairs_assemble_past_extraction_limit():
-    # catalog symbols have exact coefficients, so matrix-backed reports are
-    # not bound by the extraction limit above
+    # catalog symbols have exact coefficients, so matrix-backed reports run
+    # past N = 2086, where circle extraction at radius 0.9 used to stop
     doc = run_json("kernel-check", *EX1_ARGS, "--N", "2087")
     assert doc["max_residual"] <= 1e-12
 
@@ -263,6 +263,13 @@ def test_paper_examples_exx2_reports_fixed_point():
          "--phi", "identity"),
         ("kernel-check", *EX1_ARGS, "--T", "256"),
         ("norm-check", "--f", "polynomial:0,0,1", "--psi", "identity"),
+        # a negative seed used to end in a numpy traceback (exit 1), and no
+        # points in a check over nothing that exited 0
+        ("kernel-check", *EX1_ARGS, "--seed", "-1"),
+        ("kernel-check", *EX1_ARGS, "--points", "0"),
+        ("kernel-check", *EX1_ARGS, "--points", "-3"),
+        # the radial rule is a dense R x R eigenproblem, built again at 2R
+        ("norm-check", "--f", "polynomial:0,0,1", "--quad-R", "1025"),
     ],
 )
 def test_run_config_ranges_enforced(args):

@@ -2,14 +2,9 @@ import numpy as np
 import pytest
 
 from wco import catalog, cli
-from wco.errors import ParameterError, PreconditionError
-from wco.operator import (
-    adjoint_kernel_check,
-    apply_operator,
-    assemble_matrix,
-    matrix_apply,
-)
-from wco.series import TaylorSeries, dft_coefficient_rows
+from wco.errors import PreconditionError
+from wco.operator import adjoint_kernel_check, assemble_matrix
+from wco.series import dft_coefficient_rows
 from wco.spaces import SpaceParams
 
 ONE = catalog.polynomial([1.0])
@@ -77,10 +72,9 @@ def test_assemble_warns_on_slow_tails():
     assert np.array_equal(got.entries, want.entries)
 
 
-def test_sampled_symbols_fail_loudly_past_extraction_limit():
+def test_symbols_without_taylor_are_refused():
     # Assembly samples no symbol: a custom weight without taylor is refused
-    # at every size, below and past the radius-0.9 limit N <= 2086.  The
-    # sampled reference apply_operator still refuses N = 2087.
+    # at every size.
     bare = catalog.custom("bare_power", *_POWER_JETS)
     assert bare.taylor is None
     for n in (64, 2087):
@@ -88,12 +82,9 @@ def test_sampled_symbols_fail_loudly_past_extraction_limit():
             assemble_matrix(bare, EX1_PHI, P_HALF, n)
     with pytest.raises(PreconditionError):
         bare.coefficients(8)
-    with pytest.raises(ParameterError, match="too small for order"):
-        apply_operator(EX1_PSI, EX1_PHI, TaylorSeries([1.0]), P_HALF, 2087)
 
 
-def test_one_extraction_per_call(monkeypatch, capsys):
-    # only apply_operator, the sampled reference, reaches the circle DFT
+def test_assembly_and_paper_examples_never_reach_the_dft(monkeypatch, capsys):
     import wco.series
 
     calls = []
@@ -110,8 +101,6 @@ def test_one_extraction_per_call(monkeypatch, capsys):
     assert cli.main(["paper-examples"]) == 0
     capsys.readouterr()
     assert calls == []
-    apply_operator(EX1_PSI, EX1_PHI, TaylorSeries([1.0, 0.5]), P_HALF, 64)
-    assert calls == [0.9]
 
 
 @pytest.mark.parametrize("n", [512, 1024])
@@ -167,44 +156,64 @@ def test_conjugated_route_agrees_with_direct_route_within_col_errors():
     assert np.all(dev <= conjugated.col_errors[None, :])
 
 
+def _exact_image(psi, phi, c, n):
+    """Coefficients ``0..n-1`` of ``psi * (f o phi)`` for the polynomial ``f``
+    with coefficients ``c``: Horner composition and one convolution, not the
+    doubling Toeplitz products of the assembly."""
+    image = catalog.product(psi, catalog.jet_compose(catalog.polynomial(c), phi))
+    return image.coefficients(n - 1)
+
+
+def _assert_matrix_route_matches(psi, phi, c, n, m=None):
+    if m is None:
+        m = assemble_matrix(psi, phi, P_HALF, n)
+    x = np.zeros(n, dtype=np.complex128)
+    x[: len(c)] = c
+    s = P_HALF.basis_scale(n)
+    via_matrix = (m.entries @ (x / s)) * s
+    ref = _exact_image(psi, phi, c, n)
+    assert np.max(np.abs(via_matrix - ref)) <= 1e-13 * (1 + np.max(np.abs(ref)))
+    return ref
+
+
 def test_apply_operator_examples():
-    out, _ = apply_operator(ONE, catalog.affine(0, 0.5), TaylorSeries([0, 0, 1]), P_HALF, 8)
     want = np.zeros(8)
     want[2] = 0.25
-    assert np.max(np.abs(out.coeffs - want)) <= 1e-13
+    ref = _assert_matrix_route_matches(ONE, catalog.affine(0, 0.5), [0, 0, 1], 8)
+    assert np.max(np.abs(ref - want)) <= 1e-13
 
-    out, _ = apply_operator(
-        catalog.polynomial([0, 0, 1]), catalog.identity(), TaylorSeries([1.0]), P_HALF, 8
-    )
     want = np.zeros(8)
     want[2] = 1.0
-    assert np.max(np.abs(out.coeffs - want)) <= 1e-13
+    ref = _assert_matrix_route_matches(
+        catalog.polynomial([0, 0, 1]), catalog.identity(), [1.0], 8
+    )
+    assert np.max(np.abs(ref - want)) <= 1e-13
 
 
 def test_apply_matches_matrix_route_on_ex1():
-    f = TaylorSeries([1.0, 1.0])
-    direct, est = apply_operator(EX1_PSI, EX1_PHI, f, P_HALF, 64)
-    m = assemble_matrix(EX1_PSI, EX1_PHI, P_HALF, 64)
-    via_matrix = matrix_apply(m, f)
-    assert np.max(np.abs(direct.coeffs - via_matrix.coeffs)) <= 1e-9
+    _assert_matrix_route_matches(EX1_PSI, EX1_PHI, [1.0, 1.0], 64)
+
+
+def test_apply_matches_matrix_route_past_order_2085():
+    # the circle-sampled route this replaced stopped at N = 2086
+    _assert_matrix_route_matches(EX1_PSI, EX1_PHI, [1.0, 1.0], 2100)
 
 
 def test_apply_matches_matrix_route_on_random_polynomials():
     rng = np.random.default_rng(11)
-    n = 32
-    m = assemble_matrix(EX1_PSI, EX1_PHI, P_HALF, n)
-    for _ in range(20):
-        deg = int(rng.integers(0, n // 4))
-        coeffs = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
-        f = TaylorSeries(coeffs)
-        direct, est = apply_operator(EX1_PSI, EX1_PHI, f, P_HALF, n)
-        via = matrix_apply(m, f)
-        budget = (
-            est
-            + float(np.sum(m.col_errors[: deg + 1] * np.abs(coeffs)))
-            + 1e-10 * (1 + np.max(np.abs(coeffs)))
-        )
-        assert np.max(np.abs(direct.coeffs - via.coeffs)) <= budget
+    pairs = [
+        (EX1_PSI, EX1_PHI),
+        (catalog.polynomial([0.0, 0.0, 1.0]), catalog.phi_rk(0.5, 2.0)),
+        (ONE, catalog.phi_r1(0.6)),
+        (EX1_PSI, catalog.mobius_auto(0.3 + 0.4j)),
+    ]
+    for psi, phi in pairs:
+        for n in (32, 512):
+            m = assemble_matrix(psi, phi, P_HALF, n)
+            for _ in range(20):
+                deg = int(rng.integers(0, min(n // 4, 24)))
+                c = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
+                _assert_matrix_route_matches(psi, phi, c, n, m)
 
 
 def test_adjoint_kernel_identity_trivial_point():

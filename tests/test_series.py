@@ -5,19 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wco import catalog
 from wco.errors import ParameterError, PreconditionError
 from wco.series import (
-    SAMPLE_RADIUS,
     TaylorSeries,
-    antiderivative,
-    cauchy_product,
     circle_points,
     derivative,
     dft_coefficient_rows,
     evaluate,
-    extract_coeffs,
-    sample_count,
 )
+
+# the radius the circle DFT was sized for: its amplification guard admits
+# orders up to 2085 there
+RADIUS = 0.9
 
 
 def schoolbook_product(a, b):
@@ -38,44 +38,45 @@ int_coeff = st.complex_numbers(
 int_poly = st.lists(int_coeff, min_size=1, max_size=9)
 
 
-# --- cauchy_product ---------------------------------------------------------
+# --- truncated products -------------------------------------------------------
+# catalog.product convolves the factors' coefficients; this is the product
+# every composed symbol of the package goes through.
+
+
+def truncated_product(a, b, order):
+    prod = catalog.product(catalog.polynomial(a), catalog.polynomial(b))
+    return prod.coefficients(order)
 
 
 def test_product_binomial_square():
-    f = TaylorSeries([1, 1])
-    assert cauchy_product(f, f) == TaylorSeries([1, 2])
+    assert list(truncated_product([1, 1], [1, 1], 1)) == [1, 2]
 
 
 def test_product_identity_element():
-    f = TaylorSeries([3, 1j, -2, 0.5])
-    one = TaylorSeries([1, 0, 0, 0])
-    assert cauchy_product(f, one) == f
+    f = [3, 1j, -2, 0.5]
+    assert list(truncated_product(f, [1], 3)) == f
 
 
 def test_product_geometric_inverse():
     # (sum 2^-n z^n) * (1 - z/2) telescopes to 1
-    f = TaylorSeries(0.5 ** np.arange(9))
-    g = TaylorSeries([1, -0.5] + [0] * 7)
-    prod = cauchy_product(f, g)
-    expected = np.zeros(9, complex)
+    prod = truncated_product(0.5 ** np.arange(9), [1, -0.5], 8)
+    expected = np.zeros(9)
     expected[0] = 1
-    assert np.max(np.abs(prod.coeffs - expected)) <= 1e-15
+    assert np.max(np.abs(prod - expected)) <= 1e-15
 
 
 @given(int_poly, int_poly)
 def test_product_matches_schoolbook_exactly(a, b):
-    got = cauchy_product(TaylorSeries(a), TaylorSeries(b))
+    got = truncated_product(a, b, min(len(a), len(b)) - 1)
     want = schoolbook_product(a, b)
-    assert list(got.coeffs) == want
+    assert list(got) == want
 
 
 def test_product_truncates_to_smaller_order():
-    f = TaylorSeries([1, 2, 3, 4, 5])
-    g = TaylorSeries([1, 1])
-    assert cauchy_product(f, g).order == 1
+    assert list(truncated_product([1, 2, 3, 4, 5], [1, 1], 1)) == [1, 3]
 
 
-# --- derivative / antiderivative ---------------------------------------------
+# --- derivative -----------------------------------------------------------------
 
 
 def test_derivative_polynomial():
@@ -102,7 +103,8 @@ def test_derivative_order_zero_rejected():
 @given(int_poly)
 def test_derivative_undoes_antiderivative(coeffs):
     f = TaylorSeries(coeffs)
-    back = derivative(antiderivative(f))
+    n = np.arange(1, f.order + 2)
+    back = derivative(TaylorSeries(np.concatenate(([0], f.coeffs / n))))
     assert np.max(np.abs(back.coeffs - f.coeffs)) <= 1e-14 * (
         1 + np.max(np.abs(f.coeffs))
     )
@@ -130,70 +132,53 @@ def test_evaluate_vectorized():
     assert np.allclose(evaluate(f, z), 1 + z)
 
 
-# --- extraction ----------------------------------------------------------------
+# --- circle DFT -------------------------------------------------------------------
+
+
+# Z: the 512 sample points on the circle of radius RADIUS
+Z = circle_points(RADIUS, 512)
 
 
 def test_extract_monomial():
-    series, est = extract_coeffs(lambda z: z**2, 8)
     expected = np.zeros(9)
     expected[2] = 1
-    assert np.max(np.abs(series.coeffs - expected)) <= 1e-13
+    assert np.max(np.abs(dft_coefficient_rows(Z**2, RADIUS, 8)[0] - expected)) <= 1e-13
 
 
 def test_extract_geometric():
-    series, _ = extract_coeffs(lambda z: 1.0 / (1.0 - z / 2.0), 32)
-    assert np.max(np.abs(series.coeffs - 0.5 ** np.arange(33))) <= 1e-10
+    got = dft_coefficient_rows(1.0 / (1.0 - Z / 2.0), RADIUS, 32)[0]
+    assert np.max(np.abs(got - 0.5 ** np.arange(33))) <= 1e-10
 
 
 def test_extract_exponential():
-    series, _ = extract_coeffs(np.exp, 16)
     expected = np.array([1.0 / math.factorial(n) for n in range(17)])
-    assert np.max(np.abs(series.coeffs - expected)) <= 1e-12
-
-
-def test_extract_reports_aliasing_estimate():
-    _, est = extract_coeffs(lambda z: 1.0 / (1.0 - 0.9 * z), 16)
-    assert est > 1e-6  # geometric tail at 0.9 leaves visible top-quarter mass
-
-
-def test_extract_rejects_nonfinite_samples():
-    with pytest.raises(PreconditionError, match="not analytic"):
-        extract_coeffs(lambda z: np.full_like(z, np.nan), 8)
+    assert np.max(np.abs(dft_coefficient_rows(np.exp(Z), RADIUS, 16)[0] - expected)) <= 1e-12
 
 
 def test_extract_rejects_undersampling():
-    # 16 samples cannot resolve order 8; extract_coeffs sizes its own circle
-    # (sample_count), so only the DFT step can be handed too few samples
+    # 16 samples cannot resolve order 8
     z = circle_points(0.5, 16)
     with pytest.raises(PreconditionError):
         dft_coefficient_rows(z, 0.5, 8)
 
 
-def test_sample_count_is_a_power_of_two_covering_four_times_the_order():
-    assert [sample_count(n) for n in (0, 8, 126, 127, 2085)] == [
-        512, 512, 512, 1024, 16384
-    ]
-
-
 def test_extract_rejects_amplification_past_order_2085():
     # at radius 0.9, radius**-order may amplify the sample rounding up to
-    # order 2085 (N = 2086 truncations); beyond, fail loudly
-    extract_coeffs(lambda z: z, 2085)
+    # order 2085; beyond, fail loudly
+    z = circle_points(RADIUS, 8192)
+    dft_coefficient_rows(z, RADIUS, 2085)
     with pytest.raises(ParameterError, match="too small for order 2086"):
-        extract_coeffs(lambda z: z, 2086)
+        dft_coefficient_rows(z, RADIUS, 2086)
 
 
 @settings(max_examples=30)
 @given(int_poly)
 def test_extract_roundtrips_polynomials(coeffs):
     f = TaylorSeries(coeffs)
-    order = 2 * f.order + 2
-    got, est = extract_coeffs(lambda z: evaluate(f, z), order)
+    got = dft_coefficient_rows(evaluate(f, Z), RADIUS, 2 * f.order + 2)[0]
     scale = 1 + np.max(np.abs(f.coeffs))
-    assert np.max(np.abs(got.coeffs[: f.order + 1] - f.coeffs)) <= max(
-        est, 1e-12
-    ) + 1e-12 * scale
-    assert np.max(np.abs(got.coeffs[f.order + 1 :])) <= max(est, 1e-11 * scale)
+    assert np.max(np.abs(got[: f.order + 1] - f.coeffs)) <= 1e-12 * scale
+    assert np.max(np.abs(got[f.order + 1 :])) <= 1e-11 * scale
 
 
 @settings(max_examples=20)
@@ -201,16 +186,13 @@ def test_extract_roundtrips_polynomials(coeffs):
 def test_extract_is_linear(a, b, ca, cb):
     fa = TaylorSeries(a)
     fb = TaylorSeries(b)
-    lhs, _ = extract_coeffs(
-        lambda z: ca * evaluate(fa, z) + cb * evaluate(fb, z), 8
+    ra, rb, lhs = dft_coefficient_rows(
+        [evaluate(fa, Z), evaluate(fb, Z), ca * evaluate(fa, Z) + cb * evaluate(fb, Z)],
+        RADIUS,
+        8,
     )
-    ra, _ = extract_coeffs(lambda z: evaluate(fa, z), 8)
-    rb, _ = extract_coeffs(lambda z: evaluate(fb, z), 8)
-    scale = 1 + abs(ca) * np.max(np.abs(ra.coeffs)) + abs(cb) * np.max(np.abs(rb.coeffs))
-    assert np.max(np.abs(lhs.coeffs - ca * ra.coeffs - cb * rb.coeffs)) <= 1e-12 * scale
-
-
-# --- validation -----------------------------------------------------------------
+    scale = 1 + abs(ca) * np.max(np.abs(ra)) + abs(cb) * np.max(np.abs(rb))
+    assert np.max(np.abs(lhs - ca * ra - cb * rb)) <= 1e-12 * scale
 
 
 def test_small_and_large_dft_paths_agree():
@@ -218,12 +200,13 @@ def test_small_and_large_dft_paths_agree():
     # (64 vs 65536 points on the same circle)
     f = TaylorSeries([1.0, -2.0, 0.5j, 3.0, -1.0 + 1j])
     small, large = (
-        dft_coefficient_rows(
-            evaluate(f, circle_points(SAMPLE_RADIUS, m)), SAMPLE_RADIUS, 8
-        )[0]
+        dft_coefficient_rows(evaluate(f, circle_points(RADIUS, m)), RADIUS, 8)[0]
         for m in (64, 65536)
     )
     assert np.max(np.abs(small - large)) <= 1e-12
+
+
+# --- validation -----------------------------------------------------------------
 
 
 def test_series_rejects_nan():
