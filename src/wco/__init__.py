@@ -4,7 +4,6 @@ laboratory for boundedness/compactness criteria and spectral verification."""
 from .catalog import (
     AnalyticFunction,
     Jet2,
-    MobiusAutomorphism,
     affine,
     conjugate_to_origin,
     factor_tau,

@@ -7,7 +7,9 @@ accuracy.  Each family also carries its exact Taylor coefficients about the
 origin (``AnalyticFunction.taylor``) and its composition with a power series
 (``AnalyticFunction.compose``), from which matrix truncations are
 assembled.  The families are addressable by spec strings such as
-``"phi_rk:r=0.5,k=2"`` or ``"polynomial:0.5,0,0.5"``.
+``"phi_rk:r=0.5,k=2"`` or ``"polynomial:0.5,0,0.5"``.  :func:`mobius_auto`
+is the one automorphism builder, with its elliptic fixed point as metadata;
+univalence is metadata each family states, not a sampled probe.
 """
 
 from __future__ import annotations
@@ -380,59 +382,37 @@ def identity() -> AnalyticFunction:
     )
 
 
-@dataclass(frozen=True)
-class MobiusAutomorphism:
-    """The involution ``(a - z)/(1 - conj(a) z)`` swapping 0 and ``a``."""
+def mobius_auto(a) -> AnalyticFunction:
+    """The involution ``(a - z)/(1 - conj(a) z)`` swapping 0 and ``a``, ``|a| < 1``.
 
-    a: complex
+    Its elliptic fixed point ``a/(1 + sqrt(1-|a|^2))`` equals
+    ``(1 - sqrt(1-|a|^2))/conj(a)`` but is free of its cancellation for
+    small ``|a|``.
+    """
+    a = complex(a)
+    if not abs(a) < 1.0:
+        raise ParameterError("automorphism parameter must satisfy |a| < 1")
+    ac = np.conj(a)
 
-    def __post_init__(self):
-        a = complex(self.a)
-        if not abs(a) < 1.0:
-            raise ParameterError("automorphism parameter must satisfy |a| < 1")
-        object.__setattr__(self, "a", a)
-
-    def __call__(self, z):
-        return (self.a - z) / (1.0 - np.conj(self.a) * z)
-
-    def jet(self, z) -> Jet2:
-        return self.as_function().jet(z)
-
-    def interior_fixed_point(self) -> complex:
-        """The elliptic fixed point ``a/(1 + sqrt(1-|a|^2))``.
-
-        Equal to ``(1 - sqrt(1-|a|^2))/conj(a)`` but free of its cancellation
-        for small ``|a|``.
-        """
-        return self.a / (1.0 + math.sqrt(1.0 - abs(self.a) ** 2))
-
-    def as_function(self) -> AnalyticFunction:
-        a = self.a
-        ac = np.conj(a)
-
-        def raw(z):
-            d = 1.0 - ac * z
-            return (
-                (a - z) / d,
-                (abs(a) ** 2 - 1.0) / d**2,
-                2.0 * ac * (abs(a) ** 2 - 1.0) / d**3,
-            )
-
-        s = a.real if a.imag == 0.0 else a  # a real a gives real coefficients
-
-        return AnalyticFunction(
-            label="mobius_auto:a=%s" % _fmt_param(a),
-            raw_jet=raw,
-            claims_self_map=True,
-            claims_univalent=True,
-            known_fixed_point=self.interior_fixed_point(),
-            # (a - z)/(1 - conj(a) z) = a + (|a|^2 - 1) z/(1 - conj(a) z)
-            **_lft_series(s, abs(s) ** 2 - 1.0, np.conj(s)),
+    def raw(z):
+        d = 1.0 - ac * z
+        return (
+            (a - z) / d,
+            (abs(a) ** 2 - 1.0) / d**2,
+            2.0 * ac * (abs(a) ** 2 - 1.0) / d**3,
         )
 
+    s = a.real if a.imag == 0.0 else a  # a real a gives real coefficients
 
-def mobius_auto(a) -> AnalyticFunction:
-    return MobiusAutomorphism(a).as_function()
+    return AnalyticFunction(
+        label="mobius_auto:a=%s" % _fmt_param(a),
+        raw_jet=raw,
+        claims_self_map=True,
+        claims_univalent=True,
+        known_fixed_point=a / (1.0 + math.sqrt(1.0 - abs(a) ** 2)),
+        # (a - z)/(1 - conj(a) z) = a + (|a|^2 - 1) z/(1 - conj(a) z)
+        **_lft_series(s, abs(s) ** 2 - 1.0, np.conj(s)),
+    )
 
 
 def custom(label, value_fn, d1_fn, d2_fn, **meta) -> AnalyticFunction:
@@ -678,18 +658,6 @@ def find_fixed_point(phi: AnalyticFunction) -> Optional[complex]:
         "inconclusive fixed-point search: orbit neither settled in the disc "
         "nor escaped to the boundary within %d steps" % _FP_MAX_ITER
     )
-
-
-def univalence_grid_check(f: AnalyticFunction, count: int = 24) -> bool:
-    """Optional pairwise-collision probe on a coarse disc grid (not a proof)."""
-    radii = np.linspace(0.15, 0.9, 6)
-    theta = 2.0 * np.pi * np.arange(count) / count
-    pts = (radii[:, None] * np.exp(1j * theta)[None, :]).ravel()
-    vals = f.value(pts)
-    diff_p = np.abs(pts[:, None] - pts[None, :])
-    diff_v = np.abs(vals[:, None] - vals[None, :])
-    mask = diff_p > 1e-9
-    return bool(np.all(diff_v[mask] > 1e-12 * (1.0 + diff_p[mask])))
 
 
 # --- spec-string parsing ------------------------------------------------------

@@ -66,13 +66,6 @@ _SCENARIO_NAMES = ("ex1", "remark_c0c2", "phi_r1_bounded", "exx1", "exx2")
 _SCENARIO_GRID = criteria.AnnularGrid(m_max=24, t_base=256)
 
 
-def _positive_power_of_two(text: str) -> int:
-    value = int(text)
-    if value <= 0 or value & (value - 1):
-        raise argparse.ArgumentTypeError("expected a positive power of two")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wco",
@@ -125,11 +118,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser(
         "paper-examples", help="run the named worked scenarios end to end"
     )
-    sp.add_argument("--only", choices=_SCENARIO_NAMES, default=None)
     sp.add_argument("--alpha", type=float, default=None)
+    sp.add_argument("--out", default=None)
+    sp.add_argument("--only", choices=_SCENARIO_NAMES, default=None)
     sp.add_argument("--r", type=float, default=0.5)
     sp.add_argument("--k", type=float, default=2.0)
-    sp.add_argument("--out", default=None)
     sp.set_defaults(run=cmd_paper_examples)
     return parser
 
@@ -144,16 +137,19 @@ def _validate_run_config(args) -> None:
     # gauss_jacobi builds dense R x R matrices, and norm-check also 2R x 2R
     if hasattr(args, "quad_r") and args.quad_r > 1024:
         raise ParameterError("quad-R must be at most 1024")
+    # a grid holds whole circles of T points (2T past the eighth annulus)
+    if hasattr(args, "t_base") and args.t_base > 65536:
+        raise ParameterError("T must be at most 65536")
+    if hasattr(args, "quad_t") and args.quad_t > 65536:
+        raise ParameterError("quad-T must be at most 65536")
+    # no truncation has more than 4096 eigenvalues to match
+    if hasattr(args, "count") and not (1 <= args.count <= 4096):
+        raise ParameterError("count must lie in [1, 4096]")
 
 
-def _config_dict(args, command: str) -> dict:
-    cfg = {"command": command}
-    for key in ("alpha", "psi", "phi", "n", "m_max", "t_base", "out",
-                "count", "points", "seed", "z_cap", "func", "quad_r",
-                "quad_t", "vary", "range_spec", "only", "r", "k"):
-        if hasattr(args, key):
-            cfg[key] = getattr(args, key)
-    return cfg
+def _config_dict(args) -> dict:
+    """The subcommand and its options, in declaration order."""
+    return {k: v for k, v in vars(args).items() if k != "run"}
 
 
 def _emit(args, text: str) -> None:
@@ -176,7 +172,7 @@ def cmd_analyze(args) -> int:
     psi, phi = _functions(args)
     grid = criteria.AnnularGrid(m_max=args.m_max, t_base=args.t_base)
     report = criteria.evaluate_quantities(psi, phi, SpaceParams(args.alpha), grid)
-    doc = {"schema": SCHEMA, "config": _config_dict(args, "analyze")}
+    doc = {"schema": SCHEMA, "config": _config_dict(args)}
     doc.update(report.to_json_dict())
     _emit(args, render_json(doc))
     return EXIT_OK
@@ -191,7 +187,7 @@ def cmd_spectrum(args) -> int:
     report = spectral.spectrum_study(
         psi, phi, p, args.n, count=args.count, criteria_report=crit
     )
-    doc = {"schema": SCHEMA, "config": _config_dict(args, "spectrum")}
+    doc = {"schema": SCHEMA, "config": _config_dict(args)}
     doc.update(report.to_json_dict())
     doc["hypotheses_satisfied"] = report.prediction.hypotheses_satisfied
     _emit(args, render_json(doc))
@@ -229,7 +225,7 @@ def cmd_kernel_check(args) -> int:
         )
     doc = {
         "schema": SCHEMA,
-        "config": _config_dict(args, "kernel-check"),
+        "config": _config_dict(args),
         "residuals": rows,
         "max_residual": worst,
     }
@@ -241,11 +237,11 @@ def cmd_norm_check(args) -> int:
     _validate_run_config(args)
     func = catalog.from_spec(args.func)
     p = SpaceParams(args.alpha)
-    grid = QuadratureGrid.make(args.quad_r, args.quad_t)
-    coeff = norm_sq_coeff(TaylorSeries(func.coefficients(args.n - 1)), p, "dirichlet")
+    grid = QuadratureGrid(args.quad_r, args.quad_t)
+    coeff = norm_sq_coeff(TaylorSeries(func.coefficients(args.n - 1)), p)
     doc = {
         "schema": SCHEMA,
-        "config": _config_dict(args, "norm-check"),
+        "config": _config_dict(args),
         "coefficient_norm_sq": coeff,
     }
     ratios = {}
@@ -348,28 +344,28 @@ def cmd_sweep(args) -> int:
 # --- worked scenarios ----------------------------------------------------------
 
 
-def _scenario_ex1(alphas) -> dict:
-    cases = []
+def _verdict_scenario(name: str, verdict: str, cases) -> dict:
+    """Each case ``(head, psi, phi)`` must get the ``verdict`` True; its
+    ``head`` keys, the alpha first, lead its entry."""
+    entries = []
     ok = True
-    for alpha in alphas:
-        psi = catalog.psi_power(2.0 + alpha)
-        phi = catalog.mobius_self_map(0.5)
+    for head, psi, phi in cases:
         report = criteria.evaluate_quantities(
-            psi, phi, SpaceParams(alpha), _SCENARIO_GRID
+            psi, phi, SpaceParams(head["alpha"]), _SCENARIO_GRID
         )
-        good = report.verdicts["sufficient_compact"] is True
+        good = report.verdicts[verdict] is True
         ok = ok and good
-        cases.append(
+        entries.append(
             {
-                "alpha": alpha,
+                **head,
                 "psi": psi.label,
                 "phi": phi.label,
-                "expected": "sufficient_compact",
-                "observed": report.verdicts["sufficient_compact"],
+                "expected": verdict,
+                "observed": report.verdicts[verdict],
                 "consistent": good,
             }
         )
-    return {"name": "ex1", "cases": cases, "status": _status(ok)}
+    return {"name": name, "cases": entries, "status": _status(ok)}
 
 
 def _scenario_remark(alphas) -> dict:
@@ -401,32 +397,6 @@ def _scenario_remark(alphas) -> dict:
             }
         )
     return {"name": "remark_c0c2", "cases": cases, "status": _status(ok)}
-
-
-def _scenario_phi_r1(alphas) -> dict:
-    cases = []
-    ok = True
-    for r in (0.3, 0.6):
-        for alpha in alphas:
-            psi = catalog.polynomial([1.0])
-            phi = catalog.phi_r1(r)
-            report = criteria.evaluate_quantities(
-                psi, phi, SpaceParams(alpha), _SCENARIO_GRID
-            )
-            good = report.verdicts["sufficient_bounded"] is True
-            ok = ok and good
-            cases.append(
-                {
-                    "alpha": alpha,
-                    "r": r,
-                    "psi": psi.label,
-                    "phi": phi.label,
-                    "expected": "sufficient_bounded",
-                    "observed": report.verdicts["sufficient_bounded"],
-                    "consistent": good,
-                }
-            )
-    return {"name": "phi_r1_bounded", "cases": cases, "status": _status(ok)}
 
 
 def _scenario_exx1(alphas) -> dict:
@@ -512,10 +482,23 @@ def cmd_paper_examples(args) -> int:
         if args.alpha is not None and 0.0 < args.alpha < 1.0
         else [0.25, 0.5, 0.75]
     )
+    # generators, so that a case's functions are built inside its scenario's
+    # error handling
+    ex1_cases = (
+        ({"alpha": a}, catalog.psi_power(2.0 + a), catalog.mobius_self_map(0.5))
+        for a in alphas
+    )
+    phi_r1_cases = (
+        ({"alpha": a, "r": r}, catalog.polynomial([1.0]), catalog.phi_r1(r))
+        for r in (0.3, 0.6)
+        for a in alphas
+    )
     runners = {
-        "ex1": lambda: _scenario_ex1(alphas),
+        "ex1": lambda: _verdict_scenario("ex1", "sufficient_compact", ex1_cases),
         "remark_c0c2": lambda: _scenario_remark(remark_alphas),
-        "phi_r1_bounded": lambda: _scenario_phi_r1(alphas),
+        "phi_r1_bounded": lambda: _verdict_scenario(
+            "phi_r1_bounded", "sufficient_bounded", phi_r1_cases
+        ),
         "exx1": lambda: _scenario_exx1(alphas),
         "exx2": lambda: _scenario_exx2(alphas, args.r, args.k),
     }
@@ -531,7 +514,7 @@ def cmd_paper_examples(args) -> int:
     all_ok = all(s["status"] == "consistent-with-paper" for s in scenarios)
     doc = {
         "schema": SCHEMA,
-        "config": _config_dict(args, "paper-examples"),
+        "config": _config_dict(args),
         "scenarios": scenarios,
         "status": _status(all_ok),
     }

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .catalog import AnalyticFunction, MobiusAutomorphism, find_fixed_point
+from .catalog import AnalyticFunction, find_fixed_point, mobius_auto
 from .errors import ParameterError, PreconditionError
 from .spaces import BLOCK_POINTS, SpaceParams
 
@@ -320,9 +320,9 @@ def check_corollary_automorphism(
         raise ParameterError("the automorphism obstruction is stated for alpha in (0,1)")
     if grid is None:
         grid = AnnularGrid()
-    auto = MobiusAutomorphism(complex(a))
-    phi = auto.as_function()
-    const = ((1.0 - abs(auto.a)) / (1.0 + abs(auto.a))) ** (p.alpha / 2.0)
+    a = complex(a)
+    phi = mobius_auto(a)
+    const = ((1.0 - abs(a)) / (1.0 + abs(a))) ** (p.alpha / 2.0)
     worst = -np.inf
     for _, z, om in grid.blocks:
         pv = np.abs(psi.raw_jet(z)[0])
@@ -332,7 +332,7 @@ def check_corollary_automorphism(
     # the last row of the last block is the outermost annulus
     outer = float(np.max(pv[-1]))
     return AutomorphismReport(
-        a=auto.a,
+        a=a,
         lower_constant=const,
         max_violation=worst,
         inequality_holds=worst <= 1e-12,
@@ -453,13 +453,13 @@ def comparison_monotonicity(
             max_violation=worst,
             holds=worst <= 1e-12,
         )
-    auto = MobiusAutomorphism(a)
+    auto = mobius_auto(a).raw_jet
     lo = ((1.0 - abs(a) ** 2) / 4.0) ** (alpha / 2.0)
     hi = ((1.0 + abs(a)) / (1.0 - abs(a))) ** (alpha / 2.0)
     qmin, qmax = np.inf, -np.inf
     for _, z, om in grid.blocks:
         fv = phi.raw_jet(z)[0]
-        gv = auto(fv)
+        gv = auto(fv)[0]
         r_plain = (om / (1.0 - np.abs(fv) ** 2)) ** (alpha / 2.0)
         r_conj = (om / (1.0 - np.abs(gv) ** 2)) ** (alpha / 2.0)
         q = r_plain / r_conj

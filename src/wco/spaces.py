@@ -6,7 +6,9 @@ Conventions.  The space with parameter ``alpha`` consists of expansions
 basis is ``e_n(z) = (n+1)**((alpha-1)/2) z^n`` and the reproducing kernel at
 ``w`` has monomial coefficients ``conj(w)**n / (n+1)**(1-alpha)``.  Area
 measure is normalized so the disc has mass 1, and the weighted measure
-carries the density ``(1-|z|^2)**alpha``.
+carries the density ``(1-|z|^2)**alpha``.  The norms are the coefficient
+norm above and two equivalent integral norms, taken by quadrature on a
+:class:`QuadratureGrid` (by default the ``norm-check`` grid, 25 x 512).
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ class SpaceParams:
 
     ``alpha`` in (-1, 1) is required by every operation tied to the
     boundedness/compactness/spectrum theory (:meth:`require_core`); the
-    coefficient weights and norms, the Bergman-side ones included, also
-    admit ``alpha >= 1``.
+    coefficient weights and norms also admit ``alpha >= 1``.
     """
 
     alpha: float
@@ -50,22 +51,14 @@ class SpaceParams:
     def dirichlet_weights(self, count: int) -> np.ndarray:
         return (np.arange(count) + 1.0) ** (1.0 - self.alpha)
 
-    def bergman_weights(self, count: int) -> np.ndarray:
-        return (np.arange(count) + 1.0) ** (-1.0 - self.alpha)
-
     def basis_scale(self, count: int) -> np.ndarray:
         """Monomial coefficient of the orthonormal basis element ``e_n``."""
         return (np.arange(count) + 1.0) ** ((self.alpha - 1.0) / 2.0)
 
 
-def norm_sq_coeff(f: TaylorSeries, p: SpaceParams, space: str = "dirichlet") -> float:
-    """Squared coefficient norm in the Dirichlet or Bergman weighting."""
-    if space == "dirichlet":
-        w = p.dirichlet_weights(f.order + 1)
-    elif space == "bergman":
-        w = p.bergman_weights(f.order + 1)
-    else:
-        raise ParameterError("space must be 'dirichlet' or 'bergman'")
+def norm_sq_coeff(f: TaylorSeries, p: SpaceParams) -> float:
+    """Squared coefficient norm ``sum (n+1)**(1-alpha) |a_n|^2``."""
+    w = p.dirichlet_weights(f.order + 1)
     return float(np.sum(w * np.abs(f.coeffs) ** 2))
 
 
@@ -205,15 +198,15 @@ class QuadratureGrid:
     Normalized area measure is ``dA = dt dtheta / (2 pi)``, so
     ``int g (1-|z|^2)**alpha dA = int_0^1 M(t) (1-t)**alpha dt`` where ``M(t)``
     is the angular mean of ``g`` on ``|z| = sqrt(t)``.  The radial rule is
-    Gauss-Jacobi for the weight ``(1-t)**weight``; :meth:`make` builds
-    ``weight = 0``, which is Gauss-Legendre in ``t``.  The radial integral is
+    Gauss-Jacobi for the weight ``(1-t)**weight``; the default
+    ``weight = 0`` is Gauss-Legendre in ``t``.  The radial integral is
     exact when ``M(t) (1-t)**(alpha - weight)`` is a polynomial of degree at
     most ``2*radial_count - 1``.  The nodes are interior, so negative
     ``alpha`` never evaluates at a blow-up.  The rule is built on first use.
     """
 
-    radial_count: int
-    angular_count: int
+    radial_count: int = QUAD_RADIAL_COUNT
+    angular_count: int = QUAD_ANGULAR_COUNT
     weight: float = 0.0
 
     def __post_init__(self):
@@ -221,12 +214,6 @@ class QuadratureGrid:
             raise ParameterError(
                 "quadrature grid needs radial_count >= 2, angular_count >= 4, weight > -1"
             )
-
-    @classmethod
-    def make(
-        cls, radial_count: int = QUAD_RADIAL_COUNT, angular_count: int = QUAD_ANGULAR_COUNT
-    ) -> "QuadratureGrid":
-        return cls(radial_count, angular_count)
 
     @cached_property
     def _rule(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -3,7 +3,9 @@
 When the symbol ``phi`` fixes an interior point ``a`` with ``|phi'(a)| < 1``,
 the compact-operator spectrum is the geometric family
 ``psi(a) * phi'(a)**n`` together with 0.  :func:`spectrum_study` checks it
-against the eigenvalues of the plain truncation and of its leading blocks.
+against the eigenvalues of the plain truncation and of its leading blocks,
+matching each size once with :func:`match_spectra`; the flag of the size-N
+report follows a tolerance profile derived from the size below.
 :func:`conjugation_invariance_check` adds a second route: the diagonal of the
 Mobius-conjugated truncation, which is exactly lower triangular because the
 conjugated symbol fixes the origin and its exact Taylor coefficients have a
@@ -27,7 +29,7 @@ reports print only those above that floor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -51,6 +53,7 @@ _SCAN_NORM_RANGE = (1e-140, 1e140)
 # enough that the scan of a deflating truncation stops soon after ``K``.
 _SCAN_CHUNK = 32
 _STRICT_UPPER = np.triu(np.ones((_SCAN_CHUNK, _SCAN_CHUNK)), 1)
+_DEFAULT_TOL_PROFILE = (1e-6,) * LEADING_COUNT
 
 
 @dataclass(frozen=True)
@@ -240,10 +243,6 @@ def _column_sum_sq(x: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", x, x)
 
 
-def default_tol_profile(count: int = LEADING_COUNT) -> tuple[float, ...]:
-    return (1e-6,) * count
-
-
 def match_spectra(
     pred: SpectrumPrediction,
     eigenvalues,
@@ -257,7 +256,7 @@ def match_spectra(
     """
     eig = np.asarray(eigenvalues, dtype=np.complex128)
     if tol_profile is None:
-        tol_profile = default_tol_profile()
+        tol_profile = _DEFAULT_TOL_PROFILE
     matches = []
     used = np.zeros(eig.size, dtype=bool)
     for i, target in enumerate(pred.predicted):
@@ -275,21 +274,31 @@ def match_spectra(
                 error=float(np.min(err)),
             )
         )
-    if pred.quasi_nilpotent:
-        passed = bool(eig.size == 0 or np.max(np.abs(eig)) <= tol_profile[0])
-    else:
-        head = matches[: min(LEADING_COUNT, len(matches))]
-        passed = all(
-            m.error <= tol_profile[min(i, len(tol_profile) - 1)]
-            for i, m in enumerate(head)
-        )
     return SpectrumReport(
         prediction=pred,
         eigenvalues=eig,
         matches=tuple(matches),
-        passed=passed,
+        passed=_passed(pred, eig, matches, tol_profile),
         tol_profile=tuple(tol_profile),
     )
+
+
+def _passed(pred: SpectrumPrediction, eig: np.ndarray, matches, tol_profile) -> bool:
+    """The pass rule of :func:`match_spectra` under ``tol_profile``."""
+    if pred.quasi_nilpotent:
+        return bool(eig.size == 0 or np.max(np.abs(eig)) <= tol_profile[0])
+    return all(
+        m.error <= tol_profile[min(i, len(tol_profile) - 1)]
+        for i, m in enumerate(matches[:LEADING_COUNT])
+    )
+
+
+def _max_err_first6(report: SpectrumReport) -> float:
+    """The largest error of the first ``LEADING_COUNT`` matches, or for a
+    quasi-nilpotent prediction the largest eigenvalue modulus."""
+    if report.prediction.quasi_nilpotent:
+        return float(np.max(np.abs(report.eigenvalues), initial=0.0))
+    return max((m.error for m in report.matches[:LEADING_COUNT]), default=0.0)
 
 
 def spectrum_study(
@@ -304,7 +313,8 @@ def spectrum_study(
 
     One truncation is assembled, at the largest size; the smaller ones are
     its leading blocks, since coefficient ``j`` of column ``k`` does not
-    depend on the truncation size.
+    depend on the truncation size.  Each size is matched once; the report is
+    that of size N, with its flag decided by the profile below.
 
     The tolerance profile at the final size is derived from the observed
     errors one size down: a mode passes when its error is absolutely small
@@ -316,42 +326,28 @@ def spectrum_study(
     """
     pred = predict_spectrum(psi, phi, p, count=count, criteria_report=criteria_report)
     sizes = sorted({s for s in (max(8, n // 4), max(8, n // 2), n) if s <= n})
-    rows = []
-    errors_by_size = {}
-    final_eig = None
     entries = assemble_matrix(psi, phi, p, sizes[-1]).entries
-    for size in sizes:
-        eig = truncated_eigenvalues(entries[:size, :size])
-        interim = match_spectra(pred, eig, tol_profile=(np.inf,) * LEADING_COUNT)
-        head = interim.matches[: min(LEADING_COUNT, len(interim.matches))]
-        if pred.quasi_nilpotent:
-            worst = float(np.max(np.abs(eig))) if eig.size else 0.0
-        else:
-            worst = max((m.error for m in head), default=0.0)
-        errors_by_size[size] = [m.error for m in interim.matches]
-        rows.append({"N": size, "max_err_first6": worst})
-        if size == n:
-            final_eig = eig
-    if len(sizes) >= 2 and not pred.quasi_nilpotent:
-        prev = errors_by_size[sizes[-2]]
+    reports = [match_spectra(pred, truncated_eigenvalues(entries[:s, :s])) for s in sizes]
+    rows = tuple(
+        {"N": s, "max_err_first6": _max_err_first6(r)} for s, r in zip(sizes, reports)
+    )
+    if len(sizes) < 2:
+        profile = _DEFAULT_TOL_PROFILE
+    elif pred.quasi_nilpotent:
+        profile = (max(1e-8, 2.0 * rows[-2]["max_err_first6"]),) * LEADING_COUNT
+    else:
+        prev = [m.error for m in reports[-2].matches]
         absolute = 1e-6 * (1.0 + abs(pred.psi_a))
         profile = tuple(
             max(1e-8, absolute, 0.9 * prev[i]) if i < len(prev) else absolute
             for i in range(LEADING_COUNT)
         )
-    elif pred.quasi_nilpotent and len(sizes) >= 2:
-        prev_worst = rows[-2]["max_err_first6"]
-        profile = (max(1e-8, 2.0 * prev_worst),) * LEADING_COUNT
-    else:
-        profile = default_tol_profile()
-    report = match_spectra(pred, final_eig, tol_profile=profile)
-    return SpectrumReport(
-        prediction=report.prediction,
-        eigenvalues=report.eigenvalues,
-        matches=report.matches,
-        passed=report.passed,
-        convergence=tuple(rows),
-        tol_profile=report.tol_profile,
+    final = reports[-1]
+    return replace(
+        final,
+        passed=_passed(pred, final.eigenvalues, final.matches, profile),
+        convergence=rows,
+        tol_profile=profile,
         floor=n * _EPS * math.sqrt(_column_sum_sq(entries).sum()),
     )
 

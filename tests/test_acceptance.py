@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from wco import catalog
-from wco.catalog import MobiusAutomorphism
 from wco.criteria import AnnularGrid, comparison_monotonicity, evaluate_quantities
 from wco.operator import adjoint_kernel_check, assemble_matrix
 from wco.series import TaylorSeries
@@ -271,7 +270,7 @@ def test_criterion_7_property_suite():
     # automorphism identity
     auto_ok = True
     for a in (0.0, 0.5, 0.3 + 0.4j):
-        f = MobiusAutomorphism(a).as_function()
+        f = catalog.mobius_auto(a)
         for m in grid.levels():
             z = grid.points(m)
             jet = f.jet(z)
@@ -356,7 +355,7 @@ def test_criterion_7_property_suite():
     notes.append("comparison %s" % comp.holds)
 
     # growth bound slack
-    gb = growth_bound_check(catalog.psi_power(2.5), QuadratureGrid.make(200, 128))
+    gb = growth_bound_check(catalog.psi_power(2.5), QuadratureGrid(200, 128))
     ok &= gb.max_violation <= 1e-9
     notes.append("growth-bound %s" % (gb.max_violation <= 1e-9))
 

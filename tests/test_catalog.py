@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wco.catalog import (
-    MobiusAutomorphism,
     affine,
     conjugate_to_origin,
     factor_tau,
@@ -22,7 +21,6 @@ from wco.catalog import (
     polynomial,
     product,
     psi_power,
-    univalence_grid_check,
 )
 from wco.criteria import AnnularGrid, self_map_grid_max
 from wco.errors import ParameterError, PreconditionError
@@ -429,14 +427,14 @@ def test_fixed_point_of_elliptic_automorphism_via_newton_probe():
 def test_automorphism_fixed_point_for_small_parameters():
     # the fixed point of (a - z)/(1 - conj(a) z) is a/2 + O(|a|^3) near a = 0
     for a in (1e-9, 1e-200, 1e-9j):
-        got = MobiusAutomorphism(a).interior_fixed_point()
+        got = mobius_auto(a).known_fixed_point
         assert abs(got - a / 2) <= 1e-15 * abs(a / 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        tiny = MobiusAutomorphism(1e-310).interior_fixed_point()
+        tiny = mobius_auto(1e-310).known_fixed_point
     assert tiny == 1e-310 / 2
     ref = (1 - np.sqrt(1 - 0.3**2)) / 0.3
-    assert abs(MobiusAutomorphism(0.3).interior_fixed_point() - ref) <= 1e-15
+    assert abs(mobius_auto(0.3).known_fixed_point - ref) <= 1e-15
 
 
 # --- invariants ----------------------------------------------------------------------
@@ -458,8 +456,8 @@ def test_schwarz_pick_quotient_bound():
     st.complex_numbers(max_magnitude=0.9, allow_nan=False, allow_infinity=False),
 )
 def test_automorphism_identity_and_involution(a, z):
-    auto = MobiusAutomorphism(a)
-    jet = auto.as_function().jet(z)
+    auto = mobius_auto(a)
+    jet = auto.jet(z)
     lhs = (1 - abs(z) ** 2) * abs(jet.d1)
     rhs = 1 - abs(jet.v) ** 2
     assert abs(lhs - rhs) <= 1e-12
@@ -484,11 +482,6 @@ def test_jets_agree_with_central_differences():
         assert np.all(
             np.abs(fd2 - jet.d2) <= 1e-6 * np.abs(jet.d2) + noise2 + 1e-12
         ), f.label
-
-
-def test_univalence_probe_separates_families():
-    assert univalence_grid_check(mobius_self_map(0.5))
-    assert not univalence_grid_check(polynomial([0.5, 0, 0.5]))  # even map
 
 
 # --- spec strings -----------------------------------------------------------------------

@@ -270,10 +270,47 @@ def test_paper_examples_exx2_reports_fixed_point():
         ("kernel-check", *EX1_ARGS, "--points", "-3"),
         # the radial rule is a dense R x R eigenproblem, built again at 2R
         ("norm-check", "--f", "polynomial:0,0,1", "--quad-R", "1025"),
+        # refused before any grid circle or prediction is built
+        ("analyze", *EX1_ARGS, "--T", "65538"),
+        ("norm-check", "--f", "polynomial:0,0,1", "--quad-T", "65537"),
+        ("spectrum", *EX1_ARGS, "--count", "4097"),
     ],
 )
 def test_run_config_ranges_enforced(args):
     assert run(*args).returncode == 2
+
+
+@pytest.mark.parametrize(
+    "argv, keys",
+    [
+        (["analyze", *EX1_ARGS, "--M-max", "6", "--T", "8"],
+         ["alpha", "psi", "phi", "m_max", "t_base", "out"]),
+        (["spectrum", *EX1_ARGS, "--N", "8", "--M-max", "6", "--T", "8"],
+         ["alpha", "psi", "phi", "n", "m_max", "t_base", "out", "count"]),
+        (["kernel-check", *EX1_ARGS, "--N", "8", "--points", "1"],
+         ["alpha", "psi", "phi", "n", "out", "points", "seed", "z_cap"]),
+        (["norm-check", "--f", "polynomial:0,1", "--N", "8", "--quad-R", "2",
+          "--quad-T", "4"],
+         ["alpha", "n", "out", "func", "quad_r", "quad_t"]),
+        (["sweep", *EX1_ARGS, "--vary", "alpha", "--range", "0.5:0.5:1",
+          "--M-max", "6", "--T", "8"],
+         ["alpha", "psi", "phi", "n", "m_max", "t_base", "out", "vary", "range_spec"]),
+        (["paper-examples", "--only", "exx1"], ["alpha", "out", "only", "r", "k"]),
+    ],
+)
+def test_config_echoes_the_declared_options_in_order(argv, keys, capsys):
+    # the config is the parsed namespace: the subcommand, then each option in
+    # the order the parser declares it; sweep prints CSV rows and no config
+    from wco import cli
+
+    args = cli._parser().parse_args(argv)
+    declared = [k for k in vars(args) if k != "run"]
+    config = cli._config_dict(args)
+    assert list(config) == declared == ["command", *keys]
+    assert config["command"] == argv[0]
+    if argv[0] != "sweep":
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["config"] == config
 
 
 def test_outputs_byte_identical_across_thread_caps():

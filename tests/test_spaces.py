@@ -41,8 +41,7 @@ def test_norm_single_monomial():
 def test_norm_of_constant_is_one_in_both_spaces():
     for alpha in (-0.5, 0.0, 0.5, 2.0):
         p = SpaceParams(alpha)
-        assert norm_sq_coeff(TaylorSeries([1.0]), p, "dirichlet") == 1.0
-        assert norm_sq_coeff(TaylorSeries([1.0]), p, "bergman") == 1.0
+        assert norm_sq_coeff(TaylorSeries([1.0]), p) == 1.0
 
 
 def test_norm_arithmetico_geometric_closed_form():
@@ -174,13 +173,13 @@ def test_kernel_ratio_monotone_toward_one():
 
 
 def test_grid_has_unit_mass():
-    grid = QuadratureGrid.make(64, 64)
+    grid = QuadratureGrid(64, 64)
     ones = np.ones((64, 64))
     assert abs(grid.integrate(ones, 0.0) - 1.0) <= 1e-12
 
 
 def test_quadrature_norm_of_constant():
-    grid = QuadratureGrid.make(64, 64)
+    grid = QuadratureGrid(64, 64)
     one = catalog.polynomial([1.0])
     results = norm_sq_quadrature(one, SpaceParams(0.5), grid)
     assert list(results) == ["first_derivative", "second_derivative"]
@@ -189,7 +188,7 @@ def test_quadrature_norm_of_constant():
 
 
 def test_quadrature_identity_function_alpha_zero():
-    grid = QuadratureGrid.make(64, 64)
+    grid = QuadratureGrid(64, 64)
     f = catalog.identity()
     res = norm_sq_quadrature(f, SpaceParams(0.0), grid)["first_derivative"]
     assert abs(res.value - 1.0) <= 1e-12  # integral of |f'|^2 = 1 over unit-mass disc
@@ -198,7 +197,7 @@ def test_quadrature_identity_function_alpha_zero():
 
 
 def test_quadrature_stable_under_refinement():
-    grid = QuadratureGrid.make(100, 128)
+    grid = QuadratureGrid(100, 128)
     f = catalog.polynomial([0, 0, 1.0])
     res = norm_sq_quadrature(f, SpaceParams(0.5), grid)["first_derivative"]
     assert not res.too_coarse
@@ -207,7 +206,7 @@ def test_quadrature_stable_under_refinement():
 
 @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5])
 def test_norm_equivalence_ratio_window(alpha):
-    grid = QuadratureGrid.make(200, 256)
+    grid = QuadratureGrid(200, 256)
     p = SpaceParams(alpha)
     cases = [
         (catalog.identity(), TaylorSeries([0, 1.0])),
@@ -224,7 +223,7 @@ def test_norm_equivalence_ratio_window(alpha):
 def test_second_derivative_variant_for_quadratic():
     # |f(0)|^2 + |f'(0)|^2 + int |2|^2 (1-|z|^2)^{alpha+2} dA at alpha = 0:
     # the weighted disc mass of (1-r^2)^2 is 1/3
-    grid = QuadratureGrid.make(128, 128)
+    grid = QuadratureGrid(128, 128)
     f = catalog.polynomial([0, 0, 1.0])
     res = norm_sq_quadrature(f, SpaceParams(0.0), grid)["second_derivative"]
     assert abs(res.value - 4.0 / 3.0) <= 1e-10
@@ -235,7 +234,7 @@ def test_quadrature_exact_for_z_squared(alpha):
     # int |2z|^2 (1-|z|^2)^alpha dA = 4 B(2, alpha+1); the Gauss-Jacobi
     # rule in t = r^2 is exact for it on the default grid
     res = norm_sq_quadrature(
-        catalog.polynomial([0, 0, 1.0]), SpaceParams(alpha), QuadratureGrid.make()
+        catalog.polynomial([0, 0, 1.0]), SpaceParams(alpha), QuadratureGrid()
     )
     want = 4.0 / ((alpha + 1.0) * (alpha + 2.0))
     assert abs(res["first_derivative"].value - want) <= 1e-12
@@ -245,10 +244,10 @@ def test_quadrature_exact_for_z_squared(alpha):
 # 25 x 512 and its refinement are the norm-check defaults; 25 x 600 leaves a
 # one-row last block, 9 x 3000 has rows above the cap
 ROW_BLOCK_GRIDS = [
-    QuadratureGrid.make(),
-    QuadratureGrid.make().refined(),
-    QuadratureGrid.make(25, 600),
-    QuadratureGrid.make(9, 3000),
+    QuadratureGrid(),
+    QuadratureGrid().refined(),
+    QuadratureGrid(25, 600),
+    QuadratureGrid(9, 3000),
 ]
 
 
@@ -296,7 +295,7 @@ def test_quadrature_matches_coefficient_sum(spec, alpha):
     want = a[0] ** 2 + math.fsum(
         n * n * a[n] ** 2 * _beta(n, alpha + 1.0) for n in range(1, a.size)
     )
-    res = norm_sq_quadrature(f, SpaceParams(alpha), QuadratureGrid.make())
+    res = norm_sq_quadrature(f, SpaceParams(alpha), QuadratureGrid())
     for r in res.values():
         assert not r.too_coarse
     assert abs(res["first_derivative"].value - want) <= 1e-10 * want
@@ -316,7 +315,7 @@ def test_gauss_jacobi_rule_integrates_beta_moments():
 
 
 def test_growth_bound_constant_function():
-    rep = growth_bound_check(catalog.polynomial([3.0]), QuadratureGrid.make(32, 32))
+    rep = growth_bound_check(catalog.polynomial([3.0]), QuadratureGrid(32, 32))
     assert rep.sup_factor == 0.0
     assert rep.max_violation <= 0.0
     assert rep.holds
@@ -331,7 +330,7 @@ def test_growth_bound_for_logarithm():
         lambda z: 1.0 / (1 - z),
         lambda z: 1.0 / (1 - z) ** 2,
     )
-    grid = QuadratureGrid.make(400, 256)
+    grid = QuadratureGrid(400, 256)
     assert grid.radial_nodes.max() > 1 - 2.0**-14
     rep = growth_bound_check(f, grid)
     assert rep.sup_factor <= 2.0 + 1e-12
@@ -339,7 +338,7 @@ def test_growth_bound_for_logarithm():
 
 
 def test_growth_bound_power_weight_and_decay():
-    grid = QuadratureGrid.make(200, 128)
+    grid = QuadratureGrid(200, 128)
     rep = growth_bound_check(catalog.psi_power(2.5), grid)
     assert rep.holds
     # (1-|z|^2)**0.1 |f| tends to zero at the boundary since f is bounded;
@@ -353,7 +352,7 @@ def test_growth_bound_power_weight_and_decay():
 
 
 def test_growth_report_type():
-    rep = growth_bound_check(catalog.identity(), QuadratureGrid.make(16, 16))
+    rep = growth_bound_check(catalog.identity(), QuadratureGrid(16, 16))
     assert isinstance(rep, GrowthBoundReport)
 
 

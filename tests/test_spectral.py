@@ -255,6 +255,24 @@ def test_spectrum_study_stays_within_the_requested_size(monkeypatch):
     assert study.eigenvalues.size == 4
 
 
+def test_spectrum_study_matches_each_size_once(monkeypatch):
+    # N = 64 has the sizes 16, 32 and 64; the report of size 64 takes its
+    # flag from the derived profile without a second match
+    import wco.spectral
+
+    calls = []
+
+    def counted(pred, eigenvalues, tol_profile=None):
+        calls.append(len(eigenvalues))
+        return match_spectra(pred, eigenvalues, tol_profile)
+
+    monkeypatch.setattr(wco.spectral, "match_spectra", counted)
+    study = spectrum_study(EX1_PSI, EX1_PHI, P_HALF, 64)
+    assert calls == [16, 32, 64]
+    assert [row["N"] for row in study.convergence] == [16, 32, 64]
+    assert study.passed and len(study.tol_profile) == 6
+
+
 def test_spectrum_study_quasi_nilpotent_envelope():
     # truncations of a quasi-nilpotent operator carry spurious small
     # eigenvalues; the verdict uses a decaying envelope, not exact zeros
