@@ -55,7 +55,7 @@ def main(argv=None) -> int:
         print("%6d  %14.3e  %14.10f" % (n, worst, float(np.max(np.abs(eig)))))
 
     print()
-    rep = conjugation_invariance_check(psi, phi, pred.a, p, eig)
+    rep = conjugation_invariance_check(psi, phi, pred, p, eig)
     print("conjugated triangular route at N=%d:" % sizes[-1])
     print("  diagonal vs prediction max err: %.3e" % rep.diagonal_max_err)
     print("  leading eigenvalue agreement:   %.3e" % max(rep.eigenvalue_agreement))

@@ -6,7 +6,6 @@ from .catalog import (
     Jet2,
     affine,
     conjugate_to_origin,
-    factor_tau,
     find_fixed_point,
     from_spec,
     identity,
@@ -29,7 +28,6 @@ from .errors import (
     WcoError,
 )
 from .operator import OperatorMatrix, adjoint_kernel_check, assemble_matrix
-from .series import TaylorSeries, derivative, evaluate
 from .spaces import (
     KernelVector,
     QuadratureGrid,

@@ -22,7 +22,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import FixedPointInconclusive, ParameterError, PreconditionError
-from .series import TaylorSeries, derivative as series_derivative, evaluate
 
 _SELF_MAP_BOUNDARY_SAMPLES = 4096
 _SELF_MAP_SLACK = 1e-9
@@ -49,8 +48,9 @@ class AnalyticFunction:
     ``compose(g)`` those of ``f(g(w))`` for the coefficients ``g`` of a
     disc-valued power series (``g = [c, 1, 0, ...]`` recentres at ``c``),
     from closed forms and recurrences rather than samples: float64 for real
-    parameters and input, else complex128.  Every function built here has both (``tau`` only
-    ``taylor``); :meth:`coefficients` is the one way to get coefficients.
+    parameters and input, else complex128.  Every function built here has
+    both; :meth:`coefficients` is the one way to get coefficients, a plain
+    array whose entry ``n`` multiplies ``z**n``.
     Metadata is asserted by construction: ``claims_self_map`` promises
     ``|f| <= 1 + 1e-9`` on validation grids, ``known_fixed_point`` promises
     ``|f(a) - a| <= 1e-10``.
@@ -520,51 +520,6 @@ def conjugate_to_origin(
         known_fixed_point=0.0 + 0.0j,
         boundary_continuous=phi.boundary_continuous,
         taylor=eta_taylor if eta.taylor else None,
-    )
-
-
-def factor_tau(phi: AnalyticFunction) -> AnalyticFunction:
-    """Divide out the zero at the origin: ``phi(z) = z * tau(z)``.
-
-    Requires ``phi(0) = 0`` and ``phi.taylor``.  Away from the origin the
-    jets follow from the quotient rule; inside ``|z| < 1e-4`` the removable
-    singularity is handled through ``tau.taylor(63)``, ``phi``'s shifted by
-    one.  No caller composes ``tau`` as an outer function: no ``compose``.
-    """
-    j0 = phi.jet(0.0)
-    if abs(j0.v) > 1e-10:
-        raise PreconditionError(
-            "phi(0) must vanish to factor phi(z) = z*tau(z); got |phi(0)| = %.3e"
-            % abs(j0.v)
-        )
-
-    def taylor(order):
-        return phi.coefficients(order + 1)[1:]
-
-    tau = TaylorSeries(taylor(63))
-    tau1 = series_derivative(tau)
-    tau2 = series_derivative(tau1)
-
-    def raw(z):
-        v, d1, d2 = phi.raw_jet(z)
-        small = np.abs(z) < 1e-4
-        zs = np.where(small, 1.0, z)
-        tv = v / zs
-        t1 = (d1 * zs - v) / zs**2
-        t2 = (d2 * zs**2 - 2.0 * d1 * zs + 2.0 * v) / zs**3
-        if np.any(small):
-            zin = np.where(small, z, 0.0)
-            tv = np.where(small, evaluate(tau, zin), tv)
-            t1 = np.where(small, evaluate(tau1, zin), t1)
-            t2 = np.where(small, evaluate(tau2, zin), t2)
-        return tv, t1, t2
-
-    return AnalyticFunction(
-        label="tau(%s)" % phi.label,
-        raw_jet=raw,
-        claims_self_map=phi.claims_self_map and abs(j0.d1) < 1.0 - 1e-12,
-        boundary_continuous=phi.boundary_continuous,
-        taylor=taylor,
     )
 
 

@@ -25,7 +25,6 @@ from .errors import (
 )
 from .operator import adjoint_kernel_check, assemble_matrix
 from .reportio import csv_line, render_json
-from .series import TaylorSeries
 from .spaces import (
     QUAD_ANGULAR_COUNT,
     QUAD_RADIAL_COUNT,
@@ -238,7 +237,7 @@ def cmd_norm_check(args) -> int:
     func = catalog.from_spec(args.func)
     p = SpaceParams(args.alpha)
     grid = QuadratureGrid(args.quad_r, args.quad_t)
-    coeff = norm_sq_coeff(TaylorSeries(func.coefficients(args.n - 1)), p)
+    coeff = norm_sq_coeff(func.coefficients(args.n - 1), p)
     doc = {
         "schema": SCHEMA,
         "config": _config_dict(args),
@@ -435,7 +434,7 @@ def _scenario_exx2(alphas, r: float, k: float) -> dict:
     study = spectral.spectrum_study(psi, phi, p, 64)
     a = study.prediction.a
     conj = spectral.conjugation_invariance_check(
-        psi, phi, a, p, study.eigenvalues
+        psi, phi, study.prediction, p, study.eigenvalues
     )
     worst = max(m.error for m in study.matches[: spectral.LEADING_COUNT])
     expected_lead = a * a

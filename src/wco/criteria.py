@@ -453,13 +453,15 @@ def comparison_monotonicity(
             max_violation=worst,
             holds=worst <= 1e-12,
         )
-    auto = mobius_auto(a).raw_jet
+    if not abs(a) < 1.0:
+        raise ParameterError("phi(0) must lie inside the disc")
     lo = ((1.0 - abs(a) ** 2) / 4.0) ** (alpha / 2.0)
     hi = ((1.0 + abs(a)) / (1.0 - abs(a))) ** (alpha / 2.0)
     qmin, qmax = np.inf, -np.inf
     for _, z, om in grid.blocks:
         fv = phi.raw_jet(z)[0]
-        gv = auto(fv)[0]
+        # the value of mobius_auto(a) at fv, without the derivatives its jet adds
+        gv = (a - fv) / (1.0 - np.conj(a) * fv)
         r_plain = (om / (1.0 - np.abs(fv) ** 2)) ** (alpha / 2.0)
         r_conj = (om / (1.0 - np.abs(gv) ** 2)) ** (alpha / 2.0)
         q = r_plain / r_conj

@@ -3,7 +3,7 @@
 Column ``k`` of the truncation holds the Taylor coefficients of
 ``psi * phi**k`` rescaled into the orthonormal basis.  The coefficients of
 ``psi`` and ``phi`` are the exact ones of ``AnalyticFunction.coefficients``
-(catalog families, compositions, products, ``tau``); a function without
+(catalog families, compositions, products); a function without
 them is refused.  The columns then follow by direct truncated convolution,
 so real symbols give real matrices and ``phi(0) = 0`` gives an exactly
 lower-triangular one.  The whole assembly is deterministic for fixed inputs
@@ -25,7 +25,7 @@ from .spaces import SpaceParams, kernel_coordinates, kernel_vector
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Truncation ``entries[j, k] = <C e_k, e_j>`` with provenance.
+    """Truncation ``entries[j, k] = <C e_k, e_j>`` with its space and error bounds.
 
     ``entries`` is float64 when both symbols have real coefficients and
     complex128 otherwise.  ``col_errors[k]`` bounds the rounding error of
@@ -37,8 +37,6 @@ class OperatorMatrix:
 
     entries: np.ndarray
     params: SpaceParams
-    psi_label: str
-    phi_label: str
     col_errors: np.ndarray
     warnings: tuple[str, ...] = field(default_factory=tuple)
 
@@ -132,8 +130,6 @@ def assemble_matrix(
     return OperatorMatrix(
         entries=entries,
         params=p,
-        psi_label=psi.label,
-        phi_label=phi.label,
         col_errors=err * wk * np.max(wj),
     )
 

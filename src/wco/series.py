@@ -1,17 +1,19 @@
-"""Truncated Taylor series arithmetic and the circle DFT.
+"""Coefficient arrays and the circle DFT.
 
-A :class:`TaylorSeries` is the finite expansion ``sum_{n=0}^{order} c_n z^n``
-about the origin with complex coefficients.  Every coefficient the package
-uses is exact (``AnalyticFunction.coefficients``), and no program path
-samples a circle: :func:`dft_coefficient_rows` and its guards have no
+Every coefficient the package uses is a plain array whose entry ``n``
+multiplies ``z**n``, and it is exact (``AnalyticFunction.coefficients``).
+:func:`finite_coefficients` is the one check such an array gets before a
+norm or inner product reads it.  No program path samples a circle to get
+coefficients: :func:`dft_coefficient_rows`, which recovers them from
+samples at :func:`circle_points`, and its amplification guard have no
 caller in the package and stay only because the benchmark's tracer hooks
-them by name.
+them by name.  The one program user of :func:`circle_points` is
+``spectral.schroder_residual``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,52 +24,14 @@ from .errors import ParameterError, PreconditionError
 _LOG_AMPLIFICATION_LIMIT = 219.7
 
 
-@dataclass(frozen=True)
-class TaylorSeries:
-    """Truncated power series; ``coeffs[n]`` multiplies ``z**n``."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.coeffs, dtype=np.complex128)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ParameterError("coefficients must form a nonempty 1-D sequence")
-        if not np.all(np.isfinite(arr.view(np.float64))):
-            raise ParameterError("coefficients must be finite complex numbers")
-        arr.setflags(write=False)
-        object.__setattr__(self, "coeffs", arr)
-
-    @property
-    def order(self) -> int:
-        return self.coeffs.size - 1
-
-    def __eq__(self, other):
-        if not isinstance(other, TaylorSeries):
-            return NotImplemented
-        return self.coeffs.shape == other.coeffs.shape and bool(
-            np.all(self.coeffs == other.coeffs)
-        )
-
-
-def derivative(f: TaylorSeries) -> TaylorSeries:
-    """Termwise derivative, order drops by one."""
-    if f.order < 1:
-        raise PreconditionError(
-            "cannot differentiate constant truncation below order 0"
-        )
-    n = np.arange(1, f.order + 1)
-    return TaylorSeries(n * f.coeffs[1:])
-
-
-def evaluate(f: TaylorSeries, z):
-    """Horner evaluation of the truncated polynomial; accepts scalars or arrays."""
-    zz = np.asarray(z, dtype=np.complex128)
-    acc = np.full(zz.shape, f.coeffs[-1], dtype=np.complex128)
-    for c in f.coeffs[-2::-1]:
-        acc = acc * zz + c
-    if np.ndim(z) == 0:
-        return complex(acc)
-    return acc
+def finite_coefficients(c) -> np.ndarray:
+    """``c`` as a complex coefficient array; :class:`ParameterError` on a
+    non-finite entry (a user-supplied family such as
+    ``psi_power:beta=1e300`` overflows)."""
+    c = np.asarray(c, dtype=np.complex128)
+    if not np.all(np.isfinite(c)):
+        raise ParameterError("coefficients must be finite complex numbers")
+    return c
 
 
 def _root_table(count: int) -> np.ndarray:

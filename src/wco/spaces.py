@@ -21,7 +21,7 @@ import numpy as np
 
 from .catalog import AnalyticFunction
 from .errors import ParameterError, PreconditionError
-from .series import TaylorSeries
+from .series import finite_coefficients
 
 
 @dataclass(frozen=True)
@@ -56,17 +56,21 @@ class SpaceParams:
         return (np.arange(count) + 1.0) ** ((self.alpha - 1.0) / 2.0)
 
 
-def norm_sq_coeff(f: TaylorSeries, p: SpaceParams) -> float:
-    """Squared coefficient norm ``sum (n+1)**(1-alpha) |a_n|^2``."""
-    w = p.dirichlet_weights(f.order + 1)
-    return float(np.sum(w * np.abs(f.coeffs) ** 2))
+def norm_sq_coeff(f: np.ndarray, p: SpaceParams) -> float:
+    """Squared coefficient norm ``sum (n+1)**(1-alpha) |a_n|^2`` of the
+    coefficient array ``f`` (``f[n]`` multiplies ``z**n``)."""
+    f = finite_coefficients(f)
+    w = p.dirichlet_weights(len(f))
+    return float(np.sum(w * np.abs(f) ** 2))
 
 
-def inner_product(f: TaylorSeries, g: TaylorSeries, p: SpaceParams) -> complex:
-    """``sum (n+1)**(1-alpha) a_n conj(b_n)`` over the common truncation."""
-    n = min(f.order, g.order) + 1
+def inner_product(f: np.ndarray, g: np.ndarray, p: SpaceParams) -> complex:
+    """``sum (n+1)**(1-alpha) a_n conj(b_n)`` of two coefficient arrays over
+    their common truncation."""
+    f, g = finite_coefficients(f), finite_coefficients(g)
+    n = min(len(f), len(g))
     w = p.dirichlet_weights(n)
-    return complex(np.sum(w * f.coeffs[:n] * np.conj(g.coeffs[:n])))
+    return complex(np.sum(w * f[:n] * np.conj(g[:n])))
 
 
 @dataclass(frozen=True)

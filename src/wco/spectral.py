@@ -32,6 +32,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .catalog import (
     AnalyticFunction,
@@ -40,7 +41,7 @@ from .catalog import (
 )
 from .errors import InapplicableError, NumericsError, ParameterError
 from .operator import OperatorMatrix, assemble_matrix
-from .series import TaylorSeries, circle_points, evaluate
+from .series import circle_points
 from .spaces import SpaceParams
 
 LEADING_COUNT = 6
@@ -356,25 +357,26 @@ def schroder_residual(
     psi: AnalyticFunction,
     phi: AnalyticFunction,
     lam: complex,
-    f: TaylorSeries,
+    f: np.ndarray,
 ) -> float:
     """Max of ``|psi(z) f(phi(z)) - lam f(z)|`` at 128 points of the circle
-    ``|z| = 0.5``.
+    ``|z| = 0.5``, for the coefficient array ``f`` (``f[n]`` multiplies
+    ``z**n``, evaluated by Horner's scheme).
 
     ``f`` is expected to be normalized to unit norm in the ambient space
     coordinates; the residual itself is norm-free.
     """
     z = circle_points(0.5, 128)
-    lhs = np.asarray(psi.value(z)) * evaluate(f, np.asarray(phi.value(z)))
-    rhs = complex(lam) * evaluate(f, z)
+    lhs = np.asarray(psi.value(z)) * polyval(np.asarray(phi.value(z)), f)
+    rhs = complex(lam) * polyval(z, f)
     return float(np.max(np.abs(lhs - rhs)))
 
 
 def eigenpairs_as_series(
     matrix: OperatorMatrix,
-) -> list[tuple[complex, TaylorSeries]]:
+) -> list[tuple[complex, np.ndarray]]:
     """Eigenpairs of the truncation with unit-coordinate-norm eigenvectors
-    mapped to monomial coefficients (unit norm in the ambient space)."""
+    mapped to monomial coefficient arrays (unit norm in the ambient space)."""
     try:
         eig, vecs = np.linalg.eig(matrix.entries)
     except np.linalg.LinAlgError as exc:
@@ -388,7 +390,7 @@ def eigenpairs_as_series(
     for idx in order:
         x = vecs[:, idx]
         x = x / np.linalg.norm(x)
-        out.append((complex(eig[idx]), TaylorSeries(x * scale)))
+        out.append((complex(eig[idx]), x * scale))
     return out
 
 
@@ -409,7 +411,7 @@ class ConjugationReport:
 def conjugation_invariance_check(
     psi: AnalyticFunction,
     phi: AnalyticFunction,
-    a,
+    pred: SpectrumPrediction,
     p: SpaceParams,
     direct_eigenvalues,
 ) -> ConjugationReport:
@@ -417,8 +419,9 @@ def conjugation_invariance_check(
 
     Route one: ``direct_eigenvalues``, the :func:`truncated_eigenvalues` of
     the plain N x N truncation, which the caller has already computed (a
-    :func:`spectrum_study` holds them as ``eigenvalues``).  Route two: the
-    conjugated symbol fixes the origin, so its N x N truncation is triangular
+    :func:`spectrum_study` holds them as ``eigenvalues``, and ``pred`` as
+    ``prediction``).  Route two: conjugated at the fixed point ``pred.a``,
+    the symbol fixes the origin, so its N x N truncation is triangular
     and the predicted spectrum is read off its diagonal.  The conjugated
     symbols are compositions with exact Taylor coefficients, so that
     truncation is exactly lower triangular and its diagonal carries rounding
@@ -426,8 +429,7 @@ def conjugation_invariance_check(
     """
     eig_direct = np.asarray(direct_eigenvalues)
     n = eig_direct.size
-    pred = predict_spectrum(psi, phi, p, count=min(n, 12))
-    zeta, eta = conjugate_to_origin(psi, phi, a)
+    zeta, eta = conjugate_to_origin(psi, phi, pred.a)
     gap = max(
         abs(complex(zeta.value(0.0)) - pred.psi_a),
         abs(complex(eta.jet(0.0).d1) - pred.phi_prime_a),
@@ -448,7 +450,7 @@ def conjugation_invariance_check(
         err <= tol for err, tol in zip(agreement, tols)
     )
     return ConjugationReport(
-        a=complex(a),
+        a=pred.a,
         prediction_gap=gap,
         diagonal=diag,
         diagonal_max_err=diag_err,

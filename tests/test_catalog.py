@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from wco.catalog import (
     affine,
     conjugate_to_origin,
-    factor_tau,
+    custom,
     find_fixed_point,
     from_spec,
     identity,
@@ -130,10 +130,9 @@ def test_taylor_of_compositions_products_and_tau():
     for f, closed in cases:
         _assert_taylor(f.taylor(40), _mp_taylor(closed, 0.0))
         _assert_taylor(f.compose(_about(0.3 - 0.2j)), _mp_taylor(closed, 0.3 - 0.2j))
-    tau = factor_tau(phi)
-    tau_mp = lambda m, z: m.mpf(0.5) / (1 - m.mpf(0.5) * z)
-    _assert_taylor(tau.taylor(40), _mp_taylor(tau_mp, 0.0))
-    assert tau.compose is None and jet_compose(tau, phi).taylor is None
+    # an outer function with taylor but no compose gives no coefficients
+    taylor_only = custom("taylor_only", *(lambda z: z,) * 3, taylor=phi.taylor)
+    assert jet_compose(taylor_only, phi).taylor is None
     # both conjugates of exx2 at its fixed point; eta fixes 0 exactly
     exx2 = phi_rk(0.5, 2.0)
     a = find_fixed_point(exx2)
@@ -276,44 +275,60 @@ def test_conjugate_rejects_non_fixed_point():
         conjugate_to_origin(psi_power(2.5), mobius_self_map(0.5), 0.3)
 
 
-# --- tau factorization -------------------------------------------------------------
+# --- truncated products -----------------------------------------------------------
+# catalog.product convolves the factors' coefficients; this is the product
+# every composed symbol of the package goes through.
 
 
-def test_tau_of_linear_map_is_constant():
-    tau = factor_tau(affine(0.0, 0.5))
-    z = np.concatenate([disc_points(20), [0.0, 1e-5, 1e-5j]])
-    assert np.max(np.abs(tau.jet(z).v - 0.5)) <= 1e-12
+def schoolbook_product(a, b):
+    """Independent O(n^2) convolution oracle."""
+    n = min(len(a), len(b))
+    out = []
+    for j in range(n):
+        acc = 0j
+        for i in range(j + 1):
+            acc += a[i] * b[j - i]
+        out.append(acc)
+    return out
 
 
-def test_tau_of_square_is_identity():
-    tau = factor_tau(polynomial([0, 0, 1]))
-    z = np.concatenate([disc_points(20), [0.0, 5e-5]])
-    jet = tau.jet(z)
-    assert np.max(np.abs(jet.v - z)) <= 1e-12
-    assert np.max(np.abs(jet.d1 - 1)) <= 1e-10
+int_coeff = st.complex_numbers(
+    min_magnitude=0, max_magnitude=8, allow_infinity=False, allow_nan=False
+).map(lambda z: complex(round(z.real), round(z.imag)))
+int_poly = st.lists(int_coeff, min_size=1, max_size=9)
 
 
-def test_tau_of_ex1_map():
-    tau = factor_tau(mobius_self_map(0.5))
-    z = np.concatenate([disc_points(20, cap=0.8), [0.0, 1e-6, -3e-5]])
-    expected = 0.5 / (1 - 0.5 * z)
-    assert np.max(np.abs(tau.jet(z).v - expected)) <= 1e-10
-    assert abs(tau.value(0.0) - 0.5) <= 1e-12
+def truncated_product(a, b, order):
+    prod = product(polynomial(a), polynomial(b))
+    return prod.coefficients(order)
 
 
-def test_tau_times_z_reproduces_phi_jets():
-    for phi in (mobius_self_map(0.5), polynomial([0, 0, 1]), affine(0, 0.7)):
-        back = product(identity(), factor_tau(phi))
-        z = np.concatenate([disc_points(25, cap=0.85), [1e-5, 0.0]])
-        got, want = back.jet(z), phi.jet(z)
-        assert np.max(np.abs(got.v - want.v)) <= 1e-10, phi.label
-        assert np.max(np.abs(got.d1 - want.d1)) <= 1e-10, phi.label
-        assert np.max(np.abs(got.d2 - want.d2)) <= 1e-9, phi.label
+def test_product_binomial_square():
+    assert list(truncated_product([1, 1], [1, 1], 1)) == [1, 2]
 
 
-def test_tau_requires_vanishing_at_origin():
-    with pytest.raises(PreconditionError, match="phi\\(0\\)"):
-        factor_tau(affine(0.25, 0.5))
+def test_product_identity_element():
+    f = [3, 1j, -2, 0.5]
+    assert list(truncated_product(f, [1], 3)) == f
+
+
+def test_product_geometric_inverse():
+    # (sum 2^-n z^n) * (1 - z/2) telescopes to 1
+    prod = truncated_product(0.5 ** np.arange(9), [1, -0.5], 8)
+    expected = np.zeros(9)
+    expected[0] = 1
+    assert np.max(np.abs(prod - expected)) <= 1e-15
+
+
+@given(int_poly, int_poly)
+def test_product_matches_schoolbook_exactly(a, b):
+    got = truncated_product(a, b, min(len(a), len(b)) - 1)
+    want = schoolbook_product(a, b)
+    assert list(got) == want
+
+
+def test_product_truncates_to_smaller_order():
+    assert list(truncated_product([1, 2, 3, 4, 5], [1, 1], 1)) == [1, 3]
 
 
 # --- fixed points -------------------------------------------------------------------

@@ -180,6 +180,22 @@ def test_norm_check_matches_high_precision_coefficients():
     assert abs(doc["coefficient_norm_sq"] - want) <= 1e-13 * want
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--f", "psi_power:beta=1e300"),
+        ("--f", "psi_power:beta=1e200", "--alpha", "-0.5", "--N", "8"),
+    ],
+)
+def test_norm_check_refuses_overflowing_coefficients(args):
+    # the binomial coefficients of (1-z)**beta overflow for huge beta; the
+    # norm must refuse them instead of printing inf or nan
+    proc = run("norm-check", *args)
+    assert proc.returncode == 2
+    assert b"error: coefficients must be finite complex numbers" in proc.stderr
+    assert proc.stdout == b""
+
+
 def test_catalog_pairs_assemble_past_extraction_limit():
     # catalog symbols have exact coefficients, so matrix-backed reports run
     # past N = 2086, where circle extraction at radius 0.9 used to stop

@@ -444,3 +444,6 @@ def test_comparison_conjugation_constants_off_origin():
 def test_comparison_rejects_bad_exponents():
     with pytest.raises(ParameterError):
         comparison_monotonicity(ONE, catalog.affine(0, 0.5), 0.75, 0.25)
+    # phi(0) outside the disc has no conjugating automorphism
+    with pytest.raises(ParameterError):
+        comparison_monotonicity(ONE, catalog.affine(1.5, 0.1), 0.25, 0.75)

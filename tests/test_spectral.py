@@ -5,7 +5,6 @@ from wco import catalog
 from wco.criteria import AnnularGrid, evaluate_quantities
 from wco.errors import InapplicableError, NumericsError
 from wco.operator import assemble_matrix
-from wco.series import TaylorSeries
 from wco.spaces import SpaceParams, norm_sq_coeff
 from wco.spectral import (
     conjugation_invariance_check,
@@ -291,12 +290,12 @@ def test_spectrum_study_quasi_nilpotent_envelope():
 
 
 def test_residual_constant_eigenfunction():
-    f = TaylorSeries([1.0] + [0.0] * 7)
+    f = [1.0] + [0.0] * 7
     assert schroder_residual(ONE, catalog.affine(0, 0.5), 1.0, f) <= 1e-15
 
 
 def test_residual_monomial_eigenfunction():
-    f = TaylorSeries([0.0, 1.0] + [0.0] * 6)
+    f = [0.0, 1.0] + [0.0] * 6
     assert schroder_residual(ONE, catalog.affine(0, 0.5), 0.5, f) <= 1e-15
 
 
@@ -328,7 +327,8 @@ def test_schroder_ladder_associates_converged_pairs():
 
 def test_conjugation_check_at_origin():
     eig = truncated_eigenvalues(assemble_matrix(EX1_PSI, EX1_PHI, P_HALF, 32))
-    rep = conjugation_invariance_check(EX1_PSI, EX1_PHI, 0.0, P_HALF, eig)
+    pred = predict_spectrum(EX1_PSI, EX1_PHI, P_HALF)
+    rep = conjugation_invariance_check(EX1_PSI, EX1_PHI, pred, P_HALF, eig)
     assert rep.prediction_gap <= 1e-12
     assert rep.diagonal_max_err <= 1e-8
     assert rep.coherent
@@ -336,7 +336,8 @@ def test_conjugation_check_at_origin():
 
 def test_conjugation_check_affine_pair():
     eig = truncated_eigenvalues(assemble_matrix(SQUARE, AFFINE, P_HALF, 48))
-    rep = conjugation_invariance_check(SQUARE, AFFINE, 0.5, P_HALF, eig)
+    pred = predict_spectrum(SQUARE, AFFINE, P_HALF)
+    rep = conjugation_invariance_check(SQUARE, AFFINE, pred, P_HALF, eig)
     want = 0.25 * 0.5 ** np.arange(12.0)
     assert np.max(np.abs(rep.diagonal[:12] - want)) <= 1e-8
     assert rep.coherent
@@ -344,9 +345,9 @@ def test_conjugation_check_affine_pair():
 
 def test_conjugation_check_exp_lft_family():
     phi = catalog.phi_rk(0.5, 2.0)
-    a = catalog.find_fixed_point(phi)
+    pred = predict_spectrum(SQUARE, phi, P_HALF)
     eig = truncated_eigenvalues(assemble_matrix(SQUARE, phi, P_HALF, 64))
-    rep = conjugation_invariance_check(SQUARE, phi, a, P_HALF, eig)
+    rep = conjugation_invariance_check(SQUARE, phi, pred, P_HALF, eig)
     assert rep.diagonal_max_err <= 1e-8
     assert rep.coherent
 
