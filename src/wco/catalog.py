@@ -287,7 +287,8 @@ def psi_power(beta: float) -> AnalyticFunction:
         # binomial series: c_0 = 1, c_j = c_{j-1} (j-1-beta) / j
         ratios = np.ones(order + 1)
         ratios[1:] = (np.arange(order) - beta) / np.arange(1.0, order + 1)
-        return np.cumprod(ratios)
+        with np.errstate(over="ignore"):  # inf for huge beta, refused by the caller
+            return np.cumprod(ratios)
 
     def compose(g):
         # p = h**beta, h = 1 - g, by Miller's recurrence from h p' = beta h' p:
@@ -342,7 +343,9 @@ def polynomial(coeffs) -> AnalyticFunction:
     theta = 2.0 * np.pi * np.arange(_SELF_MAP_BOUNDARY_SAMPLES) / _SELF_MAP_BOUNDARY_SAMPLES
     boundary = np.exp(1j * theta)
     raw = _horner_jet(arr)
-    sup = float(np.max(np.abs(raw(boundary)[0])))
+    # huge coefficients overflow to an inf or nan sup, which is no self-map
+    with np.errstate(over="ignore", invalid="ignore"):
+        sup = float(np.max(np.abs(raw(boundary)[0])))
     return AnalyticFunction(
         label="polynomial:" + ",".join(_fmt_param(c) for c in arr),
         raw_jet=raw,

@@ -13,10 +13,11 @@ exact route, Horner composition and one convolution from the catalog.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .catalog import AnalyticFunction
 from .errors import NumericsError, ParameterError, PreconditionError
@@ -28,8 +29,9 @@ class OperatorMatrix:
     """Truncation ``entries[j, k] = <C e_k, e_j>`` with its space and error bounds.
 
     ``entries`` is float64 when both symbols have real coefficients and
-    complex128 otherwise.  ``col_errors[k]`` bounds the rounding error of
-    column ``k`` in matrix-entry scale (see :func:`assemble_matrix`).
+    complex128 otherwise.  ``col_errors[k]`` bounds the error of column
+    ``k`` from rounding and from the underflow cut, in matrix-entry scale
+    (see :func:`assemble_matrix`).
     ``warnings`` is always empty: every truncation is assembled from exact
     coefficients.  The field stays because the benchmark's assembly hook
     reads it.
@@ -45,32 +47,71 @@ class OperatorMatrix:
         return self.entries.shape[0]
 
 
-def _lower_toeplitz(c: np.ndarray) -> np.ndarray:
-    """``t[j, i] = c[j - i]`` for ``i <= j``, zero above the diagonal."""
+# The product of two numbers at or above 2**-511 is a normal float, so
+# operands cut below it never reach a subnormal product, which x86 computes
+# many times slower than a normal one.
+_CUT = 2.0**-511
+
+
+def _flush(a: np.ndarray) -> np.ndarray:
+    """Set the entries of ``a`` below ``_CUT`` in modulus to exact zeros."""
+    a[np.abs(a) < _CUT] = 0
+    return a
+
+
+def _scale_by_power_of_two(a: np.ndarray, e: int) -> np.ndarray:
+    """``a *= 2**e`` in place, real or complex, exact where the result is
+    normal; ``e`` may lie beyond the exponents of ``2**e`` as a float."""
+    x = a.view(np.float64)
+    np.ldexp(x, e, out=x)
+    return a
+
+
+def _lower_toeplitz(c: np.ndarray, v: int) -> np.ndarray:
+    """Rows ``v..n-1`` of ``t[j, i] = c[j - i]`` for ``i <= j``, zero above
+    the diagonal."""
     n = c.size
-    padded = np.concatenate((np.zeros(n - 1, dtype=c.dtype), c))
-    return np.ascontiguousarray(sliding_window_view(padded, n)[:, ::-1])
+    padded = np.concatenate((c[::-1], np.zeros(n - 1, dtype=c.dtype)))
+    # t[j, i] = padded[n - 1 - j + i]: a view with strides (-1, +1) elements,
+    # copied row by row forwards, because BLAS takes no negative strides
+    s = padded.itemsize
+    view = as_strided(padded[n - 1 - v :], shape=(n - v, n), strides=(-s, s))
+    return np.ascontiguousarray(view)
 
 
 def _power_columns(psi_c: np.ndarray, phi_c: np.ndarray) -> np.ndarray:
-    """``out[:, k]`` holds the coefficients ``0..n-1`` of ``psi * phi**k``.
+    """``out[:, k]`` holds the coefficients ``0..n-1`` of ``psi * phi**k``,
+    each entry below ``2**-511`` cut to zero.
 
     Column blocks double: columns ``m..2m-1`` are the lower-triangular
     Toeplitz matrix of ``phi**m`` times columns ``0..m-1``, and ``phi**2m``
-    is the truncated square of ``phi**m``.  Every coefficient is a direct sum
-    of products, so one that vanishes in exact arithmetic because ``phi(0)``
-    is an exact zero comes out as an exact zero (FFT convolution would leave
-    rounding noise there).
+    is the truncated square of ``phi**m``.  If ``phi**m`` has valuation
+    ``v``, rows ``0..v-1`` of its block are zero and only rows ``v..n-1`` of
+    the Toeplitz factor are built; the contraction still runs over all ``n``
+    columns, so the sums are grouped as for the full product.  Every
+    coefficient is a direct sum of products, so one that vanishes in exact
+    arithmetic because ``phi(0)`` is an exact zero comes out as an exact
+    zero (FFT convolution would leave rounding noise there).  ``psi_c``,
+    every ``phi**m`` and every block are cut at ``2**-511``, so no product
+    is subnormal.  The cut is absolute and meant for coefficients at most 1
+    in modulus: a self-map's are, and :func:`assemble_matrix` scales
+    ``psi_c`` so.
     """
     n = psi_c.size
     out = np.empty((n, n), dtype=np.result_type(psi_c, phi_c))
     out[:, 0] = psi_c
-    power, m = phi_c, 1
+    _flush(out[:, 0])
+    power, m = _flush(phi_c.copy()), 1
     while m < n:
         w = min(m, n - m)
-        out[:, m : m + w] = _lower_toeplitz(power) @ out[:, :w]
+        nonzero = np.flatnonzero(power)
+        v = int(nonzero[0]) if nonzero.size else n
+        out[:v, m : m + w] = 0
+        # the Toeplitz factor dies before the flush allocates its mask
+        out[v:, m : m + w] = _lower_toeplitz(power, v) @ out[:, :w]
+        _flush(out[v:, m : m + w])
         m *= 2
-        power = np.convolve(power, power)[:n]
+        power = _flush(np.convolve(power, power)[:n])
     return out
 
 
@@ -86,13 +127,27 @@ def assemble_matrix(
     ``AnalyticFunction.coefficients``; column ``k`` is then ``psi * phi**k``
     by direct truncated convolution.
 
+    Underflow cut: the coefficients of ``psi`` are scaled by ``2**-e``, with
+    ``e`` the binary exponent of the largest of them, so they are below 1
+    in modulus like those of the self-map ``phi``.  ``_power_columns`` then
+    sets every entry below ``2**-511`` of ``psi``, of each ``phi**m`` and
+    of each column block to zero, and the matrix is scaled back by ``2**e``
+    as the last step.  Both scalings are exact (the last one rounds only a
+    result below the normal range), so the cut does not depend on the scale
+    of ``psi``, and no product of the assembly is subnormal.
+
     ``col_errors[k]`` is the first-order bound ``p**k e_psi +
-    2 k a p**(k-1) e_phi`` on the rounding error of column ``k``, scaled to
+    2 k a p**(k-1) e_phi + c_k`` on the error of column ``k``, scaled to
     matrix entries.  ``a`` and ``p`` are the l1 norms of the coefficients of
     ``psi`` and ``phi``; with the rounding level ``gamma = N eps / (1 - N
     eps)`` of a length-N dot product, ``e_psi = gamma a`` and ``e_phi =
     2 gamma p`` (its own recurrence and the products of the convolution).
     The factor 2 in ``2 k`` covers the squarings of ``_power_columns``.
+    ``c_k = (k+1) N q**k (2**(e-511) + 2 a 2**-511)``, with ``q = max(1,
+    p)``, covers the cut: each cut entry of ``psi`` or of a column block is
+    below ``2**(e-511)`` in column scale, and each cut entry of a power of
+    ``phi`` below ``2**-511``, and column ``k`` passes at most ``k+1`` cuts
+    of either kind.
     """
     p.require_core()
     if n < 1:
@@ -109,8 +164,10 @@ def assemble_matrix(
             "psi has no nonzero Taylor coefficient below order %d; the zero "
             "operator is excluded" % n
         )
-    cols = _power_columns(psi_c, phi_c)
-    a = float(np.sum(np.abs(psi_c)))
+    abs_psi = np.abs(psi_c)
+    e = math.frexp(float(np.max(abs_psi)))[1]
+    cols = _power_columns(_scale_by_power_of_two(np.array(psi_c), -e), phi_c)
+    a = float(np.sum(abs_psi))
     l1_phi = float(np.sum(np.abs(phi_c)))
     eps = np.finfo(np.float64).eps
     gamma = n * eps / (1.0 - n * eps)
@@ -119,12 +176,16 @@ def assemble_matrix(
         growth = l1_phi**k
         shifted = np.concatenate(([0.0], growth[:-1]))
         err = gamma * a * growth + 2.0 * gamma * l1_phi * 2.0 * k * a * shifted
+        cut = math.ldexp(1.0, e - 511) + 2.0 * a * _CUT
+        err += cut * n * (k + 1.0) * np.maximum(growth, 1.0)  # max(1, p)**k
     wk = p.basis_scale(n)  # (k+1)^{(alpha-1)/2}
     wj = 1.0 / p.basis_scale(n)  # (j+1)^{(1-alpha)/2}
-    # scaled in place: no N x N temporaries beside the columns
+    # scaled in place: no N x N temporaries beside the columns; 2**e goes
+    # last, so its one rounding is the only one a subnormal result sees
     entries = cols
     entries *= wk[None, :]
     entries *= wj[:, None]
+    _scale_by_power_of_two(entries, e)
     if not np.all(np.isfinite(entries)):
         raise NumericsError("matrix assembly produced non-finite entries")
     return OperatorMatrix(

@@ -61,7 +61,15 @@ def norm_sq_coeff(f: np.ndarray, p: SpaceParams) -> float:
     coefficient array ``f`` (``f[n]`` multiplies ``z**n``)."""
     f = finite_coefficients(f)
     w = p.dirichlet_weights(len(f))
-    return float(np.sum(w * np.abs(f) ** 2))
+    with np.errstate(over="ignore"):
+        return _finite_norm_sq(float(np.sum(w * np.abs(f) ** 2)))
+
+
+def _finite_norm_sq(value: float) -> float:
+    # finite coefficients or jets can still have squares beyond the float range
+    if not math.isfinite(value):
+        raise ParameterError("squared norm overflows the float range")
+    return value
 
 
 def inner_product(f: np.ndarray, g: np.ndarray, p: SpaceParams) -> complex:
@@ -308,6 +316,8 @@ def norm_sq_quadrature(
     fine = _equivalent_norms_sq(f, jet0, p, grid.refined())
     results = {}
     for name, value in coarse.items():
+        _finite_norm_sq(value)
+        _finite_norm_sq(fine[name])
         change = abs(value - fine[name]) / max(abs(fine[name]), 1e-300)
         results[name] = QuadratureNormResult(value, fine[name], change, change > 0.01)
     return results
@@ -317,16 +327,21 @@ def _equivalent_norms_sq(f, jet0, p: SpaceParams, grid: QuadratureGrid) -> dict:
     # the row means equal those grid.integrate takes of the full-grid arrays
     d1_mean = np.empty(grid.radial_count)
     d2_mean = np.empty(grid.radial_count)
-    for rows, z in grid.point_blocks():
-        jets = f.jet(z)
-        d1_mean[rows] = (np.abs(jets.d1) ** 2).mean(axis=1)
-        d2_mean[rows] = (np.abs(jets.d2) ** 2).mean(axis=1)
-    return {
-        "first_derivative": abs(jet0.v) ** 2 + grid.radial_integral(d1_mean, p.alpha),
-        "second_derivative": abs(jet0.v) ** 2
-        + abs(jet0.d1) ** 2
-        + grid.radial_integral(d2_mean, p.alpha + 2.0),
-    }
+    # squares past the float range give inf, which the caller refuses
+    with np.errstate(over="ignore"):
+        for rows, z in grid.point_blocks():
+            jets = f.jet(z)
+            d1_mean[rows] = (np.abs(jets.d1) ** 2).mean(axis=1)
+            d2_mean[rows] = (np.abs(jets.d2) ** 2).mean(axis=1)
+        # numpy's pow rounds as Python's does, but gives inf where it raises
+        v0 = np.float64(abs(jet0.v)) ** 2
+        d10 = np.float64(abs(jet0.d1)) ** 2
+        return {
+            "first_derivative": float(v0 + grid.radial_integral(d1_mean, p.alpha)),
+            "second_derivative": float(
+                v0 + d10 + grid.radial_integral(d2_mean, p.alpha + 2.0)
+            ),
+        }
 
 
 @dataclass(frozen=True)

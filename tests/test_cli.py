@@ -189,10 +189,21 @@ def test_norm_check_matches_high_precision_coefficients():
 )
 def test_norm_check_refuses_overflowing_coefficients(args):
     # the binomial coefficients of (1-z)**beta overflow for huge beta; the
-    # norm must refuse them instead of printing inf or nan
+    # norm must refuse them instead of printing inf or nan, and without a
+    # numpy warning from the overflow on the way
     proc = run("norm-check", *args)
     assert proc.returncode == 2
     assert b"error: coefficients must be finite complex numbers" in proc.stderr
+    assert b"RuntimeWarning" not in proc.stderr
+    assert proc.stdout == b""
+
+
+@pytest.mark.parametrize("func", ["polynomial:1e308,1e308", "polynomial:1e200"])
+def test_norm_check_refuses_overflowing_norms(func):
+    # finite coefficients whose squares overflow: refused, not a traceback
+    proc = run("norm-check", "--f", func)
+    assert proc.returncode == 2
+    assert proc.stderr == b"error: squared norm overflows the float range\n"
     assert proc.stdout == b""
 
 

@@ -103,6 +103,50 @@ def test_assembly_and_paper_examples_never_reach_the_dft(monkeypatch, capsys):
     assert calls == []
 
 
+_CUT_PAIRS = {
+    "ex1": (EX1_PSI, EX1_PHI),
+    "exx2": (catalog.polynomial([0.0, 0.0, 1.0]), catalog.phi_rk(0.5, 2.0)),
+    "phi_r1": (ONE, catalog.phi_r1(0.6)),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(_CUT_PAIRS))
+def test_truncation_has_no_subnormal_entries(pair):
+    # the coefficients of phi**m decay geometrically; uncut, 4% of the exx2
+    # entries at N = 1024 are subnormal
+    m = assemble_matrix(*_CUT_PAIRS[pair], P_HALF, 1024)
+    mod = np.abs(m.entries)
+    assert not np.any((mod > 0) & (mod < np.finfo(float).tiny))
+
+
+@pytest.mark.parametrize("pair", ["ex1", "exx2"])
+def test_underflow_cut_is_scale_free(pair):
+    # 2**-600 psi gives exactly 2**-600 times the matrix: the cut follows
+    # the scale of psi, and a subnormal result is rounded once
+    psi, phi = _CUT_PAIRS[pair]
+    tiny = catalog.product(psi, catalog.polynomial([2.0**-600]))
+    want = assemble_matrix(psi, phi, P_HALF, 512).entries * 2.0**-600
+    got = assemble_matrix(tiny, phi, P_HALF, 512).entries
+    assert np.array_equal(got, want)
+
+
+def test_col_errors_cover_the_underflow_cut():
+    # phi = z/2 has phi**k = 2**-k z**k, cut to zero below 2**-511, so the
+    # diagonal entries 2**-k past k = 510 are lost; col_errors must cover them
+    n = 1024
+    m = assemble_matrix(ONE, catalog.affine(0, 0.5), P_HALF, n)
+    assert not np.any(np.diag(m.entries)[511:])
+    want = np.diag(0.5 ** np.arange(n))
+    assert np.all(np.abs(m.entries - want) <= m.col_errors[None, :])
+    # each cut entry is below 2**(e-511) in column scale, e the exponent of
+    # the largest coefficient of psi; no column bound may fall below that
+    for psi, phi in [(ONE, catalog.affine(0, 0.5)), *_CUT_PAIRS.values()]:
+        m = assemble_matrix(psi, phi, P_HALF, n)
+        e = np.frexp(np.max(np.abs(psi.coefficients(n - 1))))[1]
+        s = P_HALF.basis_scale(n)
+        assert np.all(m.col_errors >= 2.0 ** (e - 511) * s / np.min(s))
+
+
 @pytest.mark.parametrize("n", [512, 1024])
 def test_ex1_truncation_is_real_triangular_and_bounded(n):
     # every entry of the ex1 truncation is at most 2.973 in modulus; circle
@@ -195,8 +239,10 @@ def test_apply_matches_matrix_route_on_ex1():
 
 
 def test_apply_matches_matrix_route_past_order_2085():
-    # the circle-sampled route this replaced stopped at N = 2086
-    _assert_matrix_route_matches(EX1_PSI, EX1_PHI, [1.0, 1.0], 2100)
+    # the circle-sampled route this replaced stopped at N = 2086; past
+    # N = 1024 the underflow cut and the valuation rows act on every pair
+    for psi, phi in _CUT_PAIRS.values():
+        _assert_matrix_route_matches(psi, phi, [1.0, 1.0], 2100)
 
 
 def test_apply_matches_matrix_route_on_random_polynomials():

@@ -64,6 +64,17 @@ def test_coefficient_forms_reject_non_finite(bad):
         inner_product([1.0], [1.0, bad], p)
 
 
+def test_norms_refuse_squares_past_the_float_range():
+    # the coefficient 1e200 is finite but its square is not: both norms
+    # refuse it instead of returning inf or raising OverflowError
+    p = SpaceParams(0.0)
+    with pytest.raises(ParameterError, match="squared norm overflows"):
+        norm_sq_coeff([1.0, 1e200], p)
+    f = catalog.polynomial([1.0, 1e200])
+    with pytest.raises(ParameterError, match="squared norm overflows"):
+        norm_sq_quadrature(f, p, QuadratureGrid(4, 8))
+
+
 def test_basis_is_orthonormal_gram_identity():
     for alpha in (-0.5, 0.0, 0.5):
         p = SpaceParams(alpha)
