@@ -18,7 +18,7 @@ from .catalog import (
     product,
     psi_power,
 )
-from .criteria import AnnularGrid, CriteriaReport, evaluate_quantities
+from .criteria import AnnularGrid, CriteriaReport, evaluate_quantities, evaluate_rows
 from .errors import (
     FixedPointInconclusive,
     InapplicableError,

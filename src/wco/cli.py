@@ -290,17 +290,24 @@ def _substitute(args, vary: str, value: float):
 def cmd_sweep(args) -> int:
     _validate_run_config(args)
     values = _parse_range(args.range_spec)
-    # one grid for every row, so the rows share its blocks
+    # every row is built before any is evaluated, with one psi and one phi
+    # per distinct spec, so the rows share one walk over one grid's blocks
     grid = criteria.AnnularGrid(m_max=args.m_max, t_base=args.t_base)
-    lines = [csv_line(SWEEP_HEADER)]
+    psi = None
+    phis = {}
+    rows = []
     for value in values:
         alpha, psi_spec, phi_spec = _substitute(args, args.vary, value)
         if not (-1.0 < alpha < 1.0):
             raise ParameterError("alpha must lie in (-1, 1)")
-        psi = catalog.from_spec(psi_spec)
-        phi = catalog.from_spec(phi_spec)
-        p = SpaceParams(alpha)
-        report = criteria.evaluate_quantities(psi, phi, p, grid)
+        if psi is None:
+            psi = catalog.from_spec(psi_spec)
+        if phi_spec not in phis:
+            phis[phi_spec] = catalog.from_spec(phi_spec)
+        rows.append((psi, phis[phi_spec], SpaceParams(alpha)))
+    reports = criteria.evaluate_rows(rows, grid)
+    lines = [csv_line(SWEEP_HEADER)]
+    for value, (psi, phi, p), report in zip(values, rows, reports):
         fp_re = fp_im = None
         spec_err = None
         try:
@@ -321,7 +328,7 @@ def cmd_sweep(args) -> int:
                 (
                     args.vary,
                     float(value),
-                    float(alpha),
+                    p.alpha,
                     psi.label,
                     phi.label,
                     v["sufficient_bounded"],
@@ -346,12 +353,14 @@ def cmd_sweep(args) -> int:
 def _verdict_scenario(name: str, verdict: str, cases) -> dict:
     """Each case ``(head, psi, phi)`` must get the ``verdict`` True; its
     ``head`` keys, the alpha first, lead its entry."""
+    cases = list(cases)
+    reports = criteria.evaluate_rows(
+        [(psi, phi, SpaceParams(head["alpha"])) for head, psi, phi in cases],
+        _SCENARIO_GRID,
+    )
     entries = []
     ok = True
-    for head, psi, phi in cases:
-        report = criteria.evaluate_quantities(
-            psi, phi, SpaceParams(head["alpha"]), _SCENARIO_GRID
-        )
+    for (head, psi, phi), report in zip(cases, reports):
         good = report.verdicts[verdict] is True
         ok = ok and good
         entries.append(
@@ -372,12 +381,12 @@ def _scenario_remark(alphas) -> dict:
     phi = catalog.polynomial([0.5, 0.0, 0.5])
     # the witness search does not depend on alpha, so one serves them all
     boundary = criteria.check_corollary_boundary_zero(psi, phi, _SCENARIO_GRID)
+    reports = criteria.evaluate_rows(
+        [(psi, phi, SpaceParams(alpha)) for alpha in alphas], _SCENARIO_GRID
+    )
     cases = []
     ok = True
-    for alpha in alphas:
-        report = criteria.evaluate_quantities(
-            psi, phi, SpaceParams(alpha), _SCENARIO_GRID
-        )
+    for alpha, report in zip(alphas, reports):
         good = (
             report.verdicts["necessary_compact_ok"] is False
             and boundary.verdict == "not_compact"
@@ -481,22 +490,26 @@ def cmd_paper_examples(args) -> int:
         if args.alpha is not None and 0.0 < args.alpha < 1.0
         else [0.25, 0.5, 0.75]
     )
+
     # generators, so that a case's functions are built inside its scenario's
-    # error handling
-    ex1_cases = (
-        ({"alpha": a}, catalog.psi_power(2.0 + a), catalog.mobius_self_map(0.5))
-        for a in alphas
-    )
-    phi_r1_cases = (
-        ({"alpha": a, "r": r}, catalog.polynomial([1.0]), catalog.phi_r1(r))
-        for r in (0.3, 0.6)
-        for a in alphas
-    )
+    # error handling; one phi (and for phi_r1 one psi) serves every alpha
+    def ex1_cases():
+        phi = catalog.mobius_self_map(0.5)
+        for a in alphas:
+            yield {"alpha": a}, catalog.psi_power(2.0 + a), phi
+
+    def phi_r1_cases():
+        psi = catalog.polynomial([1.0])
+        for r in (0.3, 0.6):
+            phi = catalog.phi_r1(r)
+            for a in alphas:
+                yield {"alpha": a, "r": r}, psi, phi
+
     runners = {
-        "ex1": lambda: _verdict_scenario("ex1", "sufficient_compact", ex1_cases),
+        "ex1": lambda: _verdict_scenario("ex1", "sufficient_compact", ex1_cases()),
         "remark_c0c2": lambda: _scenario_remark(remark_alphas),
         "phi_r1_bounded": lambda: _verdict_scenario(
-            "phi_r1_bounded", "sufficient_bounded", phi_r1_cases
+            "phi_r1_bounded", "sufficient_bounded", phi_r1_cases()
         ),
         "exx1": lambda: _scenario_exx1(alphas),
         "exx2": lambda: _scenario_exx2(alphas, args.r, args.k),

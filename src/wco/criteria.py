@@ -168,31 +168,106 @@ class CriteriaReport:
         }
 
 
-def _quantities_on_block(psi, phi, alpha, z, om):
-    """Per-level maxima of the six quantities on one grid block, skipping
-    samples flagged for ``1 - |phi|^2 < 1e-14`` (0.0 for a level with every
-    sample flagged), the flagged count and the per-level maxima of
-    ``|phi''|``."""
-    pv, p1, p2 = psi.raw_jet(z)
-    fv, f1, f2 = phi.raw_jet(z)
-    omf = 1.0 - np.abs(fv) ** 2
-    flagged = omf < 1e-14
-    ratio = np.where(flagged, np.nan, om / np.where(flagged, 1.0, omf))
-    ratio_plus1 = ratio ** (alpha / 2.0 + 1.0)
-    abs_pv = np.abs(pv)
-    vals = {
-        "B1": np.abs(p2) * om,
-        "B2": np.abs(f1 * p1) * om,
-        "B3": np.abs(f2 * pv) * om,
-        "B4": np.abs(f1 * pv) * ratio_plus1,
-        "K_half_alpha": abs_pv * ratio ** (alpha / 2.0),
-        "K_half_alpha_plus1": abs_pv * ratio_plus1,
-    }
-    out = {}
-    for tag, arr in vals.items():
-        peak = np.fmax.reduce(arr, axis=1)  # NaN only where a row is all NaN
-        out[tag] = np.where(np.isnan(peak), 0.0, peak)
-    return out, int(np.count_nonzero(flagged)), np.max(np.abs(f2), axis=1)
+def _row_peaks(arr: np.ndarray) -> np.ndarray:
+    """Per-row maxima skipping NaN (flagged) samples, 0.0 for an all-NaN row."""
+    peak = np.fmax.reduce(arr, axis=1)  # NaN only where a row is all NaN
+    return np.where(np.isnan(peak), 0.0, peak)
+
+
+def _rows_on_block(rows, z, om):
+    """Per row of ``rows``, on one grid block: the per-level maxima of the
+    six quantities (in ``QUANTITY_TAGS`` order), the flagged count and the
+    per-level maxima of ``|phi''|``.
+
+    A run of consecutive rows with the same ``psi`` object samples its jet
+    once (and B1), a run with the same ``phi`` object its jet, the flags,
+    the ratio ``(1 - r^2) / (1 - |phi|^2)`` and the ``|phi''|`` maxima once,
+    and a run with the same pair B2 and B3 once; each row adds only its two
+    powers of the ratio.  B1-B3 take ``max``, which keeps a nan, and the
+    ratio quantities ``fmax``, which skips the flagged samples.
+    """
+    out = []
+    psi = phi = None
+    for r_psi, r_phi, p in rows:
+        new_pair = r_psi is not psi or r_phi is not phi
+        # a run's arrays are dropped before the next run's jet is sampled, so
+        # the block holds one jet of each symbol at a time
+        if new_pair:
+            abs_f1_pv = None
+        if r_psi is not psi:
+            psi = r_psi
+            pv = p1 = p2 = abs_pv = None
+            pv, p1, p2 = psi.raw_jet(z)
+            abs_pv = np.abs(pv)
+            b1 = (np.abs(p2) * om).max(axis=1)
+        if r_phi is not phi:
+            phi = r_phi
+            fv = f1 = f2 = omf = flagged = ratio = None
+            fv, f1, f2 = phi.raw_jet(z)
+            omf = 1.0 - np.abs(fv) ** 2
+            if not math.isfinite(omf.min()):  # min keeps a nan
+                raise ParameterError(
+                    "%s is not finite on the criteria grid" % phi.label
+                )
+            flagged = omf < 1e-14
+            ratio = np.where(flagged, np.nan, om / np.where(flagged, 1.0, omf))
+            nflag = int(np.count_nonzero(flagged))
+            dd_max = np.abs(f2).max(axis=1)
+        if new_pair:
+            abs_f1_pv = np.abs(f1 * pv)
+            b2 = (np.abs(f1 * p1) * om).max(axis=1)
+            b3 = (np.abs(f2 * pv) * om).max(axis=1)
+        ratio_plus1 = ratio ** (p.alpha / 2.0 + 1.0)
+        peaks = (
+            b1,
+            b2,
+            b3,
+            _row_peaks(abs_f1_pv * ratio_plus1),
+            _row_peaks(abs_pv * ratio ** (p.alpha / 2.0)),
+            _row_peaks(abs_pv * ratio_plus1),
+        )
+        out.append((peaks, nflag, dd_max))
+    return out
+
+
+def evaluate_rows(
+    rows: list[tuple[AnalyticFunction, AnalyticFunction, SpaceParams]],
+    grid: AnnularGrid | None = None,
+) -> list[CriteriaReport]:
+    """:func:`evaluate_quantities` for each ``(psi, phi, p)`` of ``rows``,
+    in one walk over the grid blocks.
+
+    Consecutive rows with the same ``psi`` or ``phi`` object share its jet
+    and the arrays that do not depend on alpha (see ``_rows_on_block``);
+    nothing is kept past a block.  Every report equals, bit for bit, that
+    of its row alone.  A nan or inf in any jet reaches ``1 - |phi|^2`` or
+    B1-B3 and is a :class:`ParameterError`, without numpy's warnings on the
+    way (a weight such as ``psi_power:beta=1e300`` overflows).
+    """
+    if grid is None:
+        grid = AnnularGrid()
+    for _, phi, p in rows:
+        p.require_core()
+        if not phi.claims_self_map:
+            raise PreconditionError(
+                "phi is not a verified self-map of the disc; criterion "
+                "quantities require 1 - |phi|^2 > 0"
+            )
+    # per row: the block maxima of each tag, the flagged counts and the
+    # |phi''| maxima
+    per_row = [([[] for _ in QUANTITY_TAGS], [], []) for _ in rows]
+    with np.errstate(all="ignore"):
+        for _, z, om in grid.blocks:
+            on_block = _rows_on_block(rows, z, om)
+            for (per_tag, flags, dd), (peaks, nflag, dd_max) in zip(per_row, on_block):
+                for seq, peak in zip(per_tag, peaks):
+                    seq.append(peak)
+                flags.append(nflag)
+                dd.append(dd_max)
+    return [
+        _report(psi, phi, p, grid, per_tag, sum(flags), dd)
+        for (psi, phi, p), (per_tag, flags, dd) in zip(rows, per_row)
+    ]
 
 
 def evaluate_quantities(
@@ -202,29 +277,23 @@ def evaluate_quantities(
     grid: AnnularGrid | None = None,
 ) -> CriteriaReport:
     """Evaluate all six criterion quantities and classify their decay."""
-    p.require_core()
-    if grid is None:
-        grid = AnnularGrid()
-    if not phi.claims_self_map:
-        raise PreconditionError(
-            "phi is not a verified self-map of the disc; criterion quantities "
-            "require 1 - |phi|^2 > 0"
-        )
-    per_tag = {tag: [] for tag in QUANTITY_TAGS}
-    flagged = 0
-    phi_dd_max = []
-    for _, z, om in grid.blocks:
-        rows, nflag, dd_max = _quantities_on_block(psi, phi, p.alpha, z, om)
-        flagged += nflag
-        phi_dd_max.append(dd_max)
-        for tag in QUANTITY_TAGS:
-            per_tag[tag].append(rows[tag])
+    return evaluate_rows([(psi, phi, p)], grid)[0]
+
+
+def _report(psi, phi, p, grid, per_tag, flagged, phi_dd_max) -> CriteriaReport:
+    """The report of one row from its per-block row maxima."""
     quantities = {}
-    for tag in QUANTITY_TAGS:
-        seq = np.concatenate(per_tag[tag])
+    for tag, blocks in zip(QUANTITY_TAGS, per_tag):
+        seq = np.concatenate(blocks)
+        global_max = float(np.max(seq))
+        if not math.isfinite(global_max):
+            raise ParameterError(
+                "%s with %s gives non-finite criterion quantities"
+                % (psi.label, phi.label)
+            )
         quantities[tag] = QuantitySummary(
             tag=tag,
-            global_max=float(np.max(seq)),
+            global_max=global_max,
             annulus_max=seq,
             verdict=classify_decay(seq),
         )

@@ -21,6 +21,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .catalog import AnalyticFunction
 from .errors import NumericsError, ParameterError, PreconditionError
+from .series import finite_coefficients
 from .spaces import SpaceParams, kernel_coordinates, kernel_vector
 
 
@@ -159,6 +160,10 @@ def assemble_matrix(
         )
     psi_c = psi.coefficients(n - 1)
     phi_c = phi.coefficients(n - 1)
+    # refused like a norm's input; the check's complex copy is not used, so
+    # real symbols keep real matrices
+    finite_coefficients(psi_c)
+    finite_coefficients(phi_c)
     if not np.any(psi_c):
         raise PreconditionError(
             "psi has no nonzero Taylor coefficient below order %d; the zero "

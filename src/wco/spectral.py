@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from .catalog import (
     AnalyticFunction,
@@ -353,6 +352,16 @@ def spectrum_study(
     )
 
 
+def _horner(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``sum(c[n] * x**n)`` by Horner's scheme, in the order of
+    ``numpy.polynomial.polynomial.polyval`` and so bit for bit equal to it,
+    without importing ``numpy.polynomial`` (nine modules)."""
+    acc = c[-1] + x * 0
+    for ck in c[-2::-1]:
+        acc = ck + acc * x
+    return acc
+
+
 def schroder_residual(
     psi: AnalyticFunction,
     phi: AnalyticFunction,
@@ -367,8 +376,8 @@ def schroder_residual(
     coordinates; the residual itself is norm-free.
     """
     z = circle_points(0.5, 128)
-    lhs = np.asarray(psi.value(z)) * polyval(np.asarray(phi.value(z)), f)
-    rhs = complex(lam) * polyval(z, f)
+    lhs = np.asarray(psi.value(z)) * _horner(np.asarray(phi.value(z)), f)
+    rhs = complex(lam) * _horner(z, f)
     return float(np.max(np.abs(lhs - rhs)))
 
 

@@ -207,6 +207,39 @@ def test_norm_check_refuses_overflowing_norms(func):
     assert proc.stdout == b""
 
 
+OVERFLOW_PAIR = ["--psi", "psi_power:beta=1e300", "--phi", "mobius_self_map:lambda=0.5"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", *OVERFLOW_PAIR],
+        ["spectrum", *OVERFLOW_PAIR],
+        ["kernel-check", *OVERFLOW_PAIR],
+        ["sweep", "--vary", "lambda", "--range", "0.5:0.9:3", *OVERFLOW_PAIR],
+        ["norm-check", "--f", "psi_power:beta=1e300"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_overflowing_weight_refused_without_warnings(argv):
+    # the weight's jet and coefficients overflow: every command refuses it
+    # as a parameter error, before numpy warns about the inf and nan
+    proc = run(*argv)
+    assert proc.returncode == 2, proc.stderr.decode()
+    assert proc.stderr.startswith(b"error: ")
+    assert b"RuntimeWarning" not in proc.stderr
+    assert proc.stdout == b""
+
+
+def test_import_leaves_numpy_polynomial_out():
+    code = "import sys, wco.cli; print('numpy.polynomial' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, env=dict(os.environ)
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == b"False\n"
+
+
 def test_catalog_pairs_assemble_past_extraction_limit():
     # catalog symbols have exact coefficients, so matrix-backed reports run
     # past N = 2086, where circle extraction at radius 0.9 used to stop

@@ -1,3 +1,7 @@
+import dataclasses
+import warnings
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -11,6 +15,7 @@ from wco.criteria import (
     classify_decay,
     comparison_monotonicity,
     evaluate_quantities,
+    evaluate_rows,
     self_map_grid_max,
 )
 from wco.errors import ParameterError, PreconditionError
@@ -362,6 +367,130 @@ def test_report_json_is_deterministic():
     assert a == b
     head = a.splitlines()[1].strip()
     assert head.startswith('"alpha"')  # fixed key order
+
+
+# --- one block walk for many rows ------------------------------------------------
+
+
+def _row_sets():
+    """Row lists as the CLI builds them: shared objects in consecutive rows."""
+    mobius = catalog.mobius_self_map(0.5)
+    r1 = catalog.phi_r1(0.6)
+    return {
+        "alpha_sweep": [
+            (REMARK_PSI, REMARK_PHI, SpaceParams(a)) for a in (-0.5, 0.25, 0.9)
+        ],
+        "mobius_phis": [
+            (catalog.psi_power(2.5), catalog.mobius_self_map(lam), SpaceParams(0.5))
+            for lam in (0.5, 0.6, 0.7, 0.8)
+        ],
+        "ex1": [
+            (catalog.psi_power(2.0 + a), mobius, SpaceParams(a))
+            for a in (-0.5, 0.0, 0.5)
+        ],
+        # flags must not leak from one phi's run into the next
+        "hugging": [
+            (ONE, HUGGING_PHI, SpaceParams(0.25)),
+            (ONE, HUGGING_PHI, SpaceParams(0.5)),
+            (ONE, r1, SpaceParams(0.5)),
+            (ONE, r1, SpaceParams(0.75)),
+            (ONE, HUGGING_PHI, SpaceParams(0.75)),
+        ],
+    }
+
+
+@pytest.mark.parametrize("grid", [AnnularGrid(), DEEP], ids=_grid_id)
+@pytest.mark.parametrize("rows", list(_row_sets()))
+def test_evaluate_rows_equals_each_row_alone(rows, grid):
+    rows = _row_sets()[rows]
+    reports = evaluate_rows(rows, grid)
+    assert len(reports) == len(rows)
+    for (psi, phi, p), report in zip(rows, reports):
+        alone = evaluate_quantities(psi, phi, p, grid)
+        assert report.to_json_dict() == alone.to_json_dict()
+        assert report.flagged_samples == alone.flagged_samples
+        for tag in QUANTITY_TAGS:
+            a = report.quantities[tag].annulus_max
+            b = alone.quantities[tag].annulus_max
+            assert a.tobytes() == b.tobytes(), tag
+    if rows[0][1] is HUGGING_PHI:
+        assert reports[0].flagged_samples == sum(grid.angular_counts())
+        assert reports[2].flagged_samples == 0
+
+
+def _counting(f, calls):
+    def raw_jet(z):
+        calls[f.label] += 1
+        return f.raw_jet(z)
+
+    return dataclasses.replace(f, raw_jet=raw_jet)
+
+
+@pytest.mark.parametrize("grid", [AnnularGrid(), DEEP], ids=_grid_id)
+def test_alpha_sweep_samples_each_jet_once_per_block(grid):
+    calls = Counter()
+    psi, phi = (_counting(f, calls) for f in ex1_pair(0.5))
+    rows = [(psi, phi, SpaceParams(a)) for a in (0.1, 0.3, 0.5, 0.7)]
+    reports = evaluate_rows(rows, grid)
+    assert calls == {psi.label: len(grid.blocks), phi.label: len(grid.blocks)}
+    assert [r.alpha for r in reports] == [0.1, 0.3, 0.5, 0.7]
+
+
+def test_shared_phi_is_sampled_once_while_psi_varies():
+    calls = Counter()
+    grid = AnnularGrid()
+    phi = _counting(catalog.mobius_self_map(0.5), calls)
+    psis = [_counting(catalog.psi_power(2.0 + a), calls) for a in (0.1, 0.5)]
+    evaluate_rows([(psi, phi, SpaceParams(0.5)) for psi in psis], grid)
+    assert calls[phi.label] == len(grid.blocks)
+    assert all(calls[psi.label] == len(grid.blocks) for psi in psis)
+
+
+def test_evaluate_rows_validates_every_row_before_sampling():
+    calls = Counter()
+    psi = _counting(ONE, calls)
+    rows = [(psi, catalog.phi_r1(0.5), SpaceParams(0.5)),
+            (psi, catalog.polynomial([0.0, 2.0]), SpaceParams(0.5))]
+    with pytest.raises(PreconditionError):
+        evaluate_rows(rows)
+    assert not calls
+
+
+def test_overflowing_weight_is_a_parameter_error():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and numpy does not warn on the way
+        with pytest.raises(ParameterError, match="non-finite criterion quantities"):
+            evaluate_quantities(
+                catalog.psi_power(1e300), catalog.mobius_self_map(0.5), SpaceParams(0.5)
+            )
+
+
+def _poisoned(f, k, bad):
+    """``f`` with entry ``k`` of its jet set to ``bad`` at one sample per block."""
+
+    def raw_jet(z):
+        jet = [np.array(d, dtype=complex) for d in f.raw_jet(z)]
+        jet[k].flat[-1] = bad
+        return tuple(jet)
+
+    return dataclasses.replace(f, raw_jet=raw_jet)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("k", [0, 1, 2], ids=["value", "d1", "d2"])
+@pytest.mark.parametrize("which", ["psi", "phi"])
+@pytest.mark.parametrize("pair", ["ex1", "hugging"])
+def test_any_non_finite_jet_entry_is_refused(pair, which, k, bad):
+    # the hugging pair has zero derivatives, so a bad entry meets zeros
+    psi, phi = BLOCK_PAIRS[pair]
+    if which == "psi":
+        psi = _poisoned(psi, k, bad)
+    else:
+        phi = _poisoned(phi, k, bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="not finite|non-finite"):
+            evaluate_quantities(psi, phi, SpaceParams(0.5))
 
 
 # --- corollary checks --------------------------------------------------------------------

@@ -6,7 +6,10 @@ from wco.criteria import AnnularGrid, evaluate_quantities
 from wco.errors import InapplicableError, NumericsError
 from wco.operator import assemble_matrix
 from wco.spaces import SpaceParams, norm_sq_coeff
+from numpy.polynomial.polynomial import polyval
+
 from wco.spectral import (
+    _horner,
     conjugation_invariance_check,
     eigenpairs_as_series,
     match_spectra,
@@ -297,6 +300,22 @@ def test_residual_constant_eigenfunction():
 def test_residual_monomial_eigenfunction():
     f = [0.0, 1.0] + [0.0] * 6
     assert schroder_residual(ONE, catalog.affine(0, 0.5), 0.5, f) <= 1e-15
+
+
+@pytest.mark.parametrize("complex_x", [False, True])
+@pytest.mark.parametrize("complex_c", [False, True])
+def test_horner_equals_polyval_bit_for_bit(complex_c, complex_x):
+    rng = np.random.default_rng(7)
+    for n in range(1, 41):
+        c = rng.standard_normal(n)
+        if complex_c:
+            c = c + 1j * rng.standard_normal(n)
+        x = 0.9 * rng.standard_normal(64)
+        if complex_x:
+            x = x + 0.5j * rng.standard_normal(64)
+        got, want = _horner(x, c), polyval(x, c)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes(), n
 
 
 def test_residual_of_truncation_eigenvector():
