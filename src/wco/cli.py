@@ -1,10 +1,13 @@
 """Command-line front door.
 
-Exit codes: 0 success, 2 usage or parameter range, 3 violated mathematical
-precondition, 4 the requested characterization does not apply (for example
-no interior fixed point).  All reports embed the run configuration and the
-schema tag ``wco-report/1`` and are byte-stable for fixed inputs and a
-fixed BLAS thread count.
+Each command returns its report body; :func:`main` validates the options
+first, adds the schema tag ``wco-report/1`` and the run configuration, and
+emits the report.  Exit codes: 0 success, 1 an inconsistent
+``paper-examples`` run, otherwise the ``exit_code`` of the package error
+that stopped the command (2 usage or parameter range, 3 violated
+mathematical precondition, 4 the requested characterization does not apply,
+for example no interior fixed point, 1 a numerical failure).  Reports are
+byte-stable for fixed inputs and a fixed BLAS thread count.
 """
 
 from __future__ import annotations
@@ -17,12 +20,7 @@ import sys
 import numpy as np
 
 from . import catalog, criteria, spectral
-from .errors import (
-    InapplicableError,
-    ParameterError,
-    PreconditionError,
-    WcoError,
-)
+from .errors import InapplicableError, ParameterError, PreconditionError, WcoError
 from .operator import adjoint_kernel_check, assemble_matrix
 from .reportio import csv_line, render_json
 from .spaces import (
@@ -35,11 +33,6 @@ from .spaces import (
 )
 
 SCHEMA = "wco-report/1"
-
-EXIT_OK = 0
-EXIT_USAGE = 2
-EXIT_PRECONDITION = 3
-EXIT_INAPPLICABLE = 4
 
 SWEEP_HEADER = (
     "vary",
@@ -126,24 +119,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate_run_config(args) -> None:
-    if not (-1.0 < args.alpha < 1.0):
-        raise ParameterError("alpha must lie in (-1, 1)")
-    if hasattr(args, "n") and not (8 <= args.n <= 4096):
-        raise ParameterError("N must lie in [8, 4096]")
-    if hasattr(args, "m_max") and not (6 <= args.m_max <= 20):
-        raise ParameterError("M-max must lie in [6, 20]")
+# (option, predicate, message), checked in this order
+_OPTION_RANGES = (
+    # None: paper-examples runs its default alphas
+    ("alpha", lambda v: v is None or -1.0 < v < 1.0, "alpha must lie in (-1, 1)"),
+    ("n", lambda v: 8 <= v <= 4096, "N must lie in [8, 4096]"),
+    ("m_max", lambda v: 6 <= v <= 20, "M-max must lie in [6, 20]"),
     # gauss_jacobi builds dense R x R matrices, and norm-check also 2R x 2R
-    if hasattr(args, "quad_r") and args.quad_r > 1024:
-        raise ParameterError("quad-R must be at most 1024")
+    ("quad_r", lambda v: v <= 1024, "quad-R must be at most 1024"),
     # a grid holds whole circles of T points (2T past the eighth annulus)
-    if hasattr(args, "t_base") and args.t_base > 65536:
-        raise ParameterError("T must be at most 65536")
-    if hasattr(args, "quad_t") and args.quad_t > 65536:
-        raise ParameterError("quad-T must be at most 65536")
+    ("t_base", lambda v: v <= 65536, "T must be at most 65536"),
+    ("quad_t", lambda v: v <= 65536, "quad-T must be at most 65536"),
     # no truncation has more than 4096 eigenvalues to match
-    if hasattr(args, "count") and not (1 <= args.count <= 4096):
-        raise ParameterError("count must lie in [1, 4096]")
+    ("count", lambda v: 1 <= v <= 4096, "count must lie in [1, 4096]"),
+    ("z_cap", lambda v: 0.0 < v <= 0.8, "z-cap must lie in (0, 0.8]"),
+    ("points", lambda v: v >= 1, "points must be positive"),
+    ("seed", lambda v: v >= 0, "seed must be nonnegative"),
+    ("r", lambda v: 0.0 < v < 1.0, "r must lie in (0, 1)"),
+    ("k", lambda v: v > 1.0, "k must exceed 1"),
+)
+
+
+def _validate_run_config(config: dict) -> None:
+    """Refuse the first out-of-range option of ``config``, in table order;
+    options it does not hold are skipped."""
+    for option, ok, message in _OPTION_RANGES:
+        if option in config and not ok(config[option]):
+            raise ParameterError(message)
 
 
 def _config_dict(args) -> dict:
@@ -166,41 +168,24 @@ def _functions(args):
     return catalog.from_spec(args.psi), catalog.from_spec(args.phi)
 
 
-def cmd_analyze(args) -> int:
-    _validate_run_config(args)
+def cmd_analyze(args) -> dict:
     psi, phi = _functions(args)
     grid = criteria.AnnularGrid(m_max=args.m_max, t_base=args.t_base)
     report = criteria.evaluate_quantities(psi, phi, SpaceParams(args.alpha), grid)
-    doc = {"schema": SCHEMA, "config": _config_dict(args)}
-    doc.update(report.to_json_dict())
-    _emit(args, render_json(doc))
-    return EXIT_OK
+    return report.to_json_dict()
 
 
-def cmd_spectrum(args) -> int:
-    _validate_run_config(args)
+def cmd_spectrum(args) -> dict:
     psi, phi = _functions(args)
     p = SpaceParams(args.alpha)
     grid = criteria.AnnularGrid(m_max=args.m_max, t_base=args.t_base)
     crit = criteria.evaluate_quantities(psi, phi, p, grid)
-    report = spectral.spectrum_study(
-        psi, phi, p, args.n, count=args.count, criteria_report=crit
-    )
-    doc = {"schema": SCHEMA, "config": _config_dict(args)}
-    doc.update(report.to_json_dict())
-    doc["hypotheses_satisfied"] = report.prediction.hypotheses_satisfied
-    _emit(args, render_json(doc))
-    return EXIT_OK
+    body = spectral.spectrum_study(psi, phi, p, args.n, count=args.count).to_json_dict()
+    body["hypotheses_satisfied"] = crit.spectral_hypotheses
+    return body
 
 
-def cmd_kernel_check(args) -> int:
-    _validate_run_config(args)
-    if not (0.0 < args.z_cap <= 0.8):
-        raise ParameterError("z-cap must lie in (0, 0.8]")
-    if args.points < 1:
-        raise ParameterError("points must be positive")
-    if args.seed < 0:
-        raise ParameterError("seed must be nonnegative")
+def cmd_kernel_check(args) -> dict:
     psi, phi = _functions(args)
     p = SpaceParams(args.alpha)
     matrix = assemble_matrix(psi, phi, p, args.n)
@@ -222,35 +207,22 @@ def cmd_kernel_check(args) -> int:
                 "kernel_tail_phi_z": rep.kernel_tail_phi_z,
             }
         )
-    doc = {
-        "schema": SCHEMA,
-        "config": _config_dict(args),
-        "residuals": rows,
-        "max_residual": worst,
-    }
-    _emit(args, render_json(doc))
-    return EXIT_OK
+    return {"residuals": rows, "max_residual": worst}
 
 
-def cmd_norm_check(args) -> int:
-    _validate_run_config(args)
+def cmd_norm_check(args) -> dict:
     func = catalog.from_spec(args.func)
     p = SpaceParams(args.alpha)
     grid = QuadratureGrid(args.quad_r, args.quad_t)
     coeff = norm_sq_coeff(func.coefficients(args.n - 1), p)
-    doc = {
-        "schema": SCHEMA,
-        "config": _config_dict(args),
-        "coefficient_norm_sq": coeff,
-    }
+    body = {"coefficient_norm_sq": coeff}
     ratios = {}
     for name, res in norm_sq_quadrature(func, p, grid).items():
-        doc["quad_" + name] = dataclasses.asdict(res)
+        body["quad_" + name] = dataclasses.asdict(res)
         order = name.split("_")[0]
         ratios["ratio_%s_over_coeff" % order] = res.value / coeff if coeff else None
-    doc.update(ratios)
-    _emit(args, render_json(doc))
-    return EXIT_OK
+    body.update(ratios)
+    return body
 
 
 def _parse_range(spec: str) -> list[float]:
@@ -287,8 +259,7 @@ def _substitute(args, vary: str, value: float):
     return args.alpha, args.psi, "phi_r1:r=%r" % value
 
 
-def cmd_sweep(args) -> int:
-    _validate_run_config(args)
+def cmd_sweep(args) -> str:
     values = _parse_range(args.range_spec)
     # every row is built before any is evaluated, with one psi and one phi
     # per distinct spec, so the rows share one walk over one grid's blocks
@@ -298,8 +269,7 @@ def cmd_sweep(args) -> int:
     rows = []
     for value in values:
         alpha, psi_spec, phi_spec = _substitute(args, args.vary, value)
-        if not (-1.0 < alpha < 1.0):
-            raise ParameterError("alpha must lie in (-1, 1)")
+        _validate_run_config({"alpha": alpha})
         if psi is None:
             psi = catalog.from_spec(psi_spec)
         if phi_spec not in phis:
@@ -311,15 +281,10 @@ def cmd_sweep(args) -> int:
         fp_re = fp_im = None
         spec_err = None
         try:
-            study = spectral.spectrum_study(
-                psi, phi, p, min(args.n, 48), criteria_report=report
-            )
+            study = spectral.spectrum_study(psi, phi, p, min(args.n, 48))
             fp_re = study.prediction.a.real
             fp_im = study.prediction.a.imag
-            spec_err = max(
-                (m.error for m in study.matches[: spectral.LEADING_COUNT]),
-                default=None,
-            )
+            spec_err = study.max_err_first6
         except (InapplicableError, PreconditionError):
             pass
         v = report.verdicts
@@ -343,8 +308,7 @@ def cmd_sweep(args) -> int:
                 )
             )
         )
-    _emit(args, "\n".join(lines))
-    return EXIT_OK
+    return "\n".join(lines)
 
 
 # --- worked scenarios ----------------------------------------------------------
@@ -412,7 +376,7 @@ def _scenario_exx1(alphas) -> dict:
     psi = catalog.psi_power(2.0 + alpha)
     phi = catalog.mobius_self_map(0.5)
     study = spectral.spectrum_study(psi, phi, SpaceParams(alpha), 64)
-    worst = max(m.error for m in study.matches[: spectral.LEADING_COUNT])
+    worst = study.max_err_first6
     lam = study.prediction.phi_prime_a
     good = (
         abs(study.prediction.psi_a - 1.0) <= 1e-10
@@ -445,7 +409,7 @@ def _scenario_exx2(alphas, r: float, k: float) -> dict:
     conj = spectral.conjugation_invariance_check(
         psi, phi, study.prediction, p, study.eigenvalues
     )
-    worst = max(m.error for m in study.matches[: spectral.LEADING_COUNT])
+    worst = study.max_err_first6
     expected_lead = a * a
     good = (
         abs(study.prediction.psi_a - expected_lead) <= 1e-10
@@ -476,13 +440,7 @@ def _status(ok: bool) -> str:
     return "consistent-with-paper" if ok else "inconsistent"
 
 
-def cmd_paper_examples(args) -> int:
-    if args.alpha is not None and not (-1.0 < args.alpha < 1.0):
-        raise ParameterError("alpha must lie in (-1, 1)")
-    if not (0.0 < args.r < 1.0):
-        raise ParameterError("r must lie in (0, 1)")
-    if not args.k > 1.0:
-        raise ParameterError("k must exceed 1")
+def cmd_paper_examples(args) -> dict:
     default_alphas = [-0.5, 0.0, 0.5]
     alphas = [args.alpha] if args.alpha is not None else default_alphas
     remark_alphas = (
@@ -523,15 +481,8 @@ def cmd_paper_examples(args) -> int:
             scenarios.append(
                 {"name": name, "cases": [], "status": "error: %s" % exc}
             )
-    all_ok = all(s["status"] == "consistent-with-paper" for s in scenarios)
-    doc = {
-        "schema": SCHEMA,
-        "config": _config_dict(args),
-        "scenarios": scenarios,
-        "status": _status(all_ok),
-    }
-    _emit(args, render_json(doc))
-    return EXIT_OK if all_ok else 1
+    all_ok = all(s["status"] == _status(True) for s in scenarios)
+    return {"scenarios": scenarios, "status": _status(all_ok)}
 
 
 @functools.cache
@@ -543,20 +494,18 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    config = _config_dict(args)
     try:
-        return args.run(args)
-    except ParameterError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-    except PreconditionError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_PRECONDITION
-    except InapplicableError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_INAPPLICABLE
+        _validate_run_config(config)
+        body = args.run(args)
+        if isinstance(body, str):  # sweep's CSV rows
+            _emit(args, body)
+            return 0
+        _emit(args, render_json({"schema": SCHEMA, "config": config, **body}))
     except WcoError as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return 1
+        return exc.exit_code
+    return 1 if body.get("status") == _status(False) else 0
 
 
 if __name__ == "__main__":

@@ -167,6 +167,15 @@ class CriteriaReport:
             "flagged_samples": self.flagged_samples,
         }
 
+    @property
+    def spectral_hypotheses(self) -> bool:
+        """Whether the decay hypotheses of the spectral characterization are
+        certified: ``B1`` and ``K_half_alpha_plus1`` both tend to 0."""
+        return all(
+            self.quantities[tag].verdict == "tends_to_zero"
+            for tag in ("B1", "K_half_alpha_plus1")
+        )
+
 
 def _row_peaks(arr: np.ndarray) -> np.ndarray:
     """Per-row maxima skipping NaN (flagged) samples, 0.0 for an all-NaN row."""
@@ -527,13 +536,11 @@ def comparison_monotonicity(
     lo = ((1.0 - abs(a) ** 2) / 4.0) ** (alpha / 2.0)
     hi = ((1.0 + abs(a)) / (1.0 - abs(a))) ** (alpha / 2.0)
     qmin, qmax = np.inf, -np.inf
-    for _, z, om in grid.blocks:
+    for _, z, _ in grid.blocks:
         fv = phi.raw_jet(z)[0]
-        # the value of mobius_auto(a) at fv, without the derivatives its jet adds
-        gv = (a - fv) / (1.0 - np.conj(a) * fv)
-        r_plain = (om / (1.0 - np.abs(fv) ** 2)) ** (alpha / 2.0)
-        r_conj = (om / (1.0 - np.abs(gv) ** 2)) ** (alpha / 2.0)
-        q = r_plain / r_conj
+        # 1 - |phi_a(w)|^2 = (1 - |a|^2)(1 - |w|^2) / |1 - conj(a) w|^2, so the
+        # quotient of the plain and the conjugated factor needs no 1 - |fv|^2
+        q = ((1.0 - abs(a) ** 2) / np.abs(1.0 - np.conj(a) * fv) ** 2) ** (alpha / 2.0)
         qmin = min(qmin, float(np.min(q)))
         qmax = max(qmax, float(np.max(q)))
     tol = 1e-12

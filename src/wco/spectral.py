@@ -69,7 +69,6 @@ class SpectrumPrediction:
     psi_a: complex
     phi_prime_a: complex
     predicted: tuple[complex, ...]
-    hypotheses_satisfied: bool | None = None
 
     @property
     def quasi_nilpotent(self) -> bool:
@@ -120,6 +119,14 @@ class SpectrumReport:
             "passed": self.passed,
         }
 
+    @property
+    def max_err_first6(self) -> float:
+        """The largest error of the first ``LEADING_COUNT`` matches, or for a
+        quasi-nilpotent prediction the largest eigenvalue modulus."""
+        if self.prediction.quasi_nilpotent:
+            return float(np.max(np.abs(self.eigenvalues), initial=0.0))
+        return max((m.error for m in self.matches[:LEADING_COUNT]), default=0.0)
+
     def _match_json(self, m: SpectrumMatch) -> dict:
         if abs(m.eigenvalue) <= self.floor:
             return {"n": m.index, "lambda": None, "err": abs(m.predicted) + self.floor}
@@ -131,14 +138,12 @@ def predict_spectrum(
     phi: AnalyticFunction,
     p: SpaceParams,
     count: int = 12,
-    criteria_report=None,
 ) -> SpectrumPrediction:
     """Evaluate ``psi(a)`` and ``phi'(a)`` at the interior fixed point.
 
     Raises :class:`InapplicableError` when the symbol has no interior fixed
     point or is an automorphism-like map with ``|phi'(a)| >= 1``; both fall
-    outside the implemented characterization.  A criteria report may be
-    attached to record whether the decay hypotheses were certified.
+    outside the implemented characterization.
     """
     p.require_core()
     if count < 1:
@@ -158,13 +163,6 @@ def predict_spectrum(
             "are excluded)" % abs(lam)
         )
     psi_a = complex(psi.value(a))
-    hypotheses = None
-    if criteria_report is not None:
-        hypotheses = (
-            criteria_report.quantities["B1"].verdict == "tends_to_zero"
-            and criteria_report.quantities["K_half_alpha_plus1"].verdict
-            == "tends_to_zero"
-        )
     if abs(psi_a) <= _QUASI_NILPOTENT_TOL:
         predicted: tuple[complex, ...] = (0.0 + 0.0j,)
     else:
@@ -174,7 +172,6 @@ def predict_spectrum(
         psi_a=psi_a,
         phi_prime_a=lam,
         predicted=predicted,
-        hypotheses_satisfied=hypotheses,
     )
 
 
@@ -293,21 +290,12 @@ def _passed(pred: SpectrumPrediction, eig: np.ndarray, matches, tol_profile) -> 
     )
 
 
-def _max_err_first6(report: SpectrumReport) -> float:
-    """The largest error of the first ``LEADING_COUNT`` matches, or for a
-    quasi-nilpotent prediction the largest eigenvalue modulus."""
-    if report.prediction.quasi_nilpotent:
-        return float(np.max(np.abs(report.eigenvalues), initial=0.0))
-    return max((m.error for m in report.matches[:LEADING_COUNT]), default=0.0)
-
-
 def spectrum_study(
     psi: AnalyticFunction,
     phi: AnalyticFunction,
     p: SpaceParams,
     n: int,
     count: int = 12,
-    criteria_report=None,
 ) -> SpectrumReport:
     """Predict, truncate at N/4, N/2 and N (at least 8, at most N), and reconcile.
 
@@ -324,12 +312,12 @@ def spectrum_study(
     eigenvalue or reject honest slow modes; a purely relative rule would let
     a far-from-converged study certify itself.
     """
-    pred = predict_spectrum(psi, phi, p, count=count, criteria_report=criteria_report)
+    pred = predict_spectrum(psi, phi, p, count=count)
     sizes = sorted({s for s in (max(8, n // 4), max(8, n // 2), n) if s <= n})
     entries = assemble_matrix(psi, phi, p, sizes[-1]).entries
     reports = [match_spectra(pred, truncated_eigenvalues(entries[:s, :s])) for s in sizes]
     rows = tuple(
-        {"N": s, "max_err_first6": _max_err_first6(r)} for s, r in zip(sizes, reports)
+        {"N": s, "max_err_first6": r.max_err_first6} for s, r in zip(sizes, reports)
     )
     if len(sizes) < 2:
         profile = _DEFAULT_TOL_PROFILE

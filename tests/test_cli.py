@@ -7,6 +7,8 @@ import sys
 import numpy as np
 import pytest
 
+from wco import errors
+
 CMD = [sys.executable, "-m", "wco"]
 
 
@@ -279,6 +281,28 @@ def test_sweep_r_bounded_family():
     assert all(r[5] == "true" for r in rows)  # sufficient_bounded
 
 
+QUASI_NILPOTENT_ARGS = [
+    "--psi", "polynomial:-0.5,1", "--phi", "affine:c0=0.25,c1=0.5", "--alpha", "0.2",
+]
+
+
+def test_sweep_spectrum_error_is_the_spectrum_reports():
+    # psi vanishes at the fixed point 1/2, so the predicted spectrum is {0}
+    # and the error is the largest eigenvalue modulus; sweep evaluates at
+    # N = 48, so its column is spectrum's convergence row at N = 48
+    doc = run_json("spectrum", *QUASI_NILPOTENT_ARGS, "--N", "48")
+    proc = run("sweep", "--vary", "alpha", "--range", "0.2:0.2:1", *QUASI_NILPOTENT_ARGS)
+    assert proc.returncode == 0
+    header, row = proc.stdout.decode().splitlines()
+    assert header.endswith(",spectrum_max_err_first6")
+    want = doc["convergence"][-1]
+    assert want["N"] == 48
+    assert float(row.rsplit(",", 1)[1]) == want["max_err_first6"]
+    assert want["max_err_first6"] == max(
+        abs(complex(*v)) for v in doc["eigenvalues_N"]
+    )
+
+
 def test_sweep_empty_range_is_usage_error():
     proc = run(
         "sweep", "--vary", "alpha", "--range", "0.1:0.5:0",
@@ -310,34 +334,78 @@ def test_paper_examples_exx2_reports_fixed_point():
     assert abs(complex(*case["fixed_point"]) - 0.19053025591158232) <= 1e-9
 
 
-@pytest.mark.parametrize(
-    "args",
-    [
-        ("analyze", "--alpha", "1.5", "--psi", "polynomial:1", "--phi", "identity"),
-        ("spectrum", "--alpha", "0.5", "--N", "4", "--psi", "polynomial:1",
-         "--phi", "identity"),
-        ("analyze", "--alpha", "0.5", "--M-max", "25", "--psi", "polynomial:1",
-         "--phi", "identity"),
-        # options a subcommand does not read are not accepted
-        ("analyze", "--alpha", "0.5", "--N", "64", "--psi", "polynomial:1",
-         "--phi", "identity"),
-        ("kernel-check", *EX1_ARGS, "--T", "256"),
-        ("norm-check", "--f", "polynomial:0,0,1", "--psi", "identity"),
-        # a negative seed used to end in a numpy traceback (exit 1), and no
-        # points in a check over nothing that exited 0
-        ("kernel-check", *EX1_ARGS, "--seed", "-1"),
-        ("kernel-check", *EX1_ARGS, "--points", "0"),
-        ("kernel-check", *EX1_ARGS, "--points", "-3"),
-        # the radial rule is a dense R x R eigenproblem, built again at 2R
-        ("norm-check", "--f", "polynomial:0,0,1", "--quad-R", "1025"),
-        # refused before any grid circle or prediction is built
-        ("analyze", *EX1_ARGS, "--T", "65538"),
-        ("norm-check", "--f", "polynomial:0,0,1", "--quad-T", "65537"),
-        ("spectrum", *EX1_ARGS, "--count", "4097"),
-    ],
-)
+RANGE_ERRORS = {
+    ("analyze", "--alpha", "1.5", "--psi", "polynomial:1", "--phi", "identity"):
+        "error: alpha must lie in (-1, 1)",
+    ("spectrum", "--alpha", "0.5", "--N", "4", "--psi", "polynomial:1",
+     "--phi", "identity"):
+        "error: N must lie in [8, 4096]",
+    ("analyze", "--alpha", "0.5", "--M-max", "25", "--psi", "polynomial:1",
+     "--phi", "identity"):
+        "error: M-max must lie in [6, 20]",
+    # options a subcommand does not read are not accepted
+    ("analyze", "--alpha", "0.5", "--N", "64", "--psi", "polynomial:1",
+     "--phi", "identity"):
+        "wco: error: unrecognized arguments: --N 64",
+    ("kernel-check", *EX1_ARGS, "--T", "256"):
+        "wco: error: unrecognized arguments: --T 256",
+    ("norm-check", "--f", "polynomial:0,0,1", "--psi", "identity"):
+        "wco: error: unrecognized arguments: --psi identity",
+    # a negative seed used to end in a numpy traceback (exit 1), and no
+    # points in a check over nothing that exited 0
+    ("kernel-check", *EX1_ARGS, "--seed", "-1"): "error: seed must be nonnegative",
+    ("kernel-check", *EX1_ARGS, "--points", "0"): "error: points must be positive",
+    ("kernel-check", *EX1_ARGS, "--points", "-3"): "error: points must be positive",
+    # the radial rule is a dense R x R eigenproblem, built again at 2R
+    ("norm-check", "--f", "polynomial:0,0,1", "--quad-R", "1025"):
+        "error: quad-R must be at most 1024",
+    # refused before any grid circle or prediction is built
+    ("analyze", *EX1_ARGS, "--T", "65538"): "error: T must be at most 65536",
+    ("norm-check", "--f", "polynomial:0,0,1", "--quad-T", "65537"):
+        "error: quad-T must be at most 65536",
+    ("spectrum", *EX1_ARGS, "--count", "4097"): "error: count must lie in [1, 4096]",
+    # of two bad options the one checked first is reported
+    ("kernel-check", "--alpha", "1.5", "--z-cap", "0.9", "--psi", "polynomial:1",
+     "--phi", "identity"):
+        "error: alpha must lie in (-1, 1)",
+}
+
+
+@pytest.mark.parametrize("args", list(RANGE_ERRORS))
 def test_run_config_ranges_enforced(args):
-    assert run(*args).returncode == 2
+    proc = run(*args)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    lines = proc.stderr.decode().splitlines()
+    assert lines[-1] == RANGE_ERRORS[args]
+    # only argparse's refusals print its usage lines first
+    assert len(lines) == 1 or lines[-1].startswith("wco: ")
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (errors.WcoError, 1),
+        (errors.ParameterError, 2),
+        (errors.PreconditionError, 3),
+        (errors.InapplicableError, 4),
+        (errors.FixedPointInconclusive, 3),
+        (errors.NumericsError, 1),
+    ],
+    ids=lambda v: v.__name__ if isinstance(v, type) else str(v),
+)
+def test_errors_inside_a_command_exit_with_their_code(error, code, monkeypatch, capsys):
+    from wco import cli
+
+    def fail(spec):
+        raise error("stopped at %s" % spec)
+
+    monkeypatch.setattr(cli.catalog, "from_spec", fail)
+    assert error.exit_code == code
+    assert cli.main(["norm-check", "--f", "polynomial:1"]) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: stopped at polynomial:1\n"
 
 
 @pytest.mark.parametrize(

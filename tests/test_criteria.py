@@ -159,6 +159,22 @@ def test_iff_verdicts_suppressed_without_hypotheses():
     assert report.verdicts["iff_compact"] is None
 
 
+def test_spectral_hypotheses_need_decaying_B1_and_K_half_alpha_plus1():
+    # the spectral characterization assumes B1 and K_half_alpha_plus1 tend to
+    # 0; for the remark pair and phi_r1 only B1 does
+    grid = AnnularGrid(m_max=14)
+    for psi, phi, want in [
+        (*ex1_pair(0.5), True),
+        (REMARK_PSI, REMARK_PHI, False),
+        (ONE, catalog.phi_r1(0.6), False),
+    ]:
+        report = evaluate_quantities(psi, phi, SpaceParams(0.5), grid)
+        assert report.quantities["B1"].verdict == "tends_to_zero"
+        k_plus1 = report.quantities["K_half_alpha_plus1"].verdict
+        assert k_plus1 == ("tends_to_zero" if want else "bounded_positive")
+        assert report.spectral_hypotheses is want
+
+
 def test_non_self_map_rejected():
     with pytest.raises(PreconditionError):
         evaluate_quantities(ONE, catalog.psi_power(2.5), SpaceParams(0.5))
@@ -281,11 +297,12 @@ def test_block_corollary_checks_equal_per_level_loops(grid):
     )
     assert rep.origin_fixed and rep.max_violation == want
 
+    # 1 - |phi_a(w)|^2 = (1 - |a|^2)(1 - |w|^2) / |1 - conj(a) w|^2 turns the
+    # quotient of the plain and the conjugated factor into this
     off = catalog.affine(0.5, 0.3)
     rep = comparison_monotonicity(ONE, off, alpha, beta, grid)
-    gv = catalog.mobius_auto(0.5)
-    q = [quotient(off, z, om, alpha) / quotient(lambda w: gv(off(w)), z, om, alpha)
-         for z, om in levels]
+    q = [((1.0 - 0.5**2) / np.abs(1.0 - 0.5 * off(z)) ** 2) ** (alpha / 2.0)
+         for z, _ in levels]
     assert rep.observed_quotient == (
         min(float(np.min(v)) for v in q), max(float(np.max(v)) for v in q)
     )

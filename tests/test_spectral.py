@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from wco import catalog
-from wco.criteria import AnnularGrid, evaluate_quantities
 from wco.errors import InapplicableError, NumericsError
 from wco.operator import assemble_matrix
 from wco.spaces import SpaceParams, norm_sq_coeff
@@ -61,12 +60,6 @@ def test_predict_requires_interior_fixed_point():
 def test_predict_excludes_automorphisms():
     with pytest.raises(InapplicableError, match="phi'"):
         predict_spectrum(ONE, catalog.mobius_auto(0.5), P_HALF)
-
-
-def test_predict_attaches_hypotheses_verdicts():
-    crit = evaluate_quantities(EX1_PSI, EX1_PHI, P_HALF, AnnularGrid(m_max=14))
-    pred = predict_spectrum(EX1_PSI, EX1_PHI, P_HALF, criteria_report=crit)
-    assert pred.hypotheses_satisfied is True
 
 
 # --- eigenvalues ------------------------------------------------------------------
