@@ -156,8 +156,13 @@ def _config_dict(args) -> dict:
 def _emit(args, text: str) -> None:
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w", newline="\n") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w", newline="\n") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ParameterError(
+                "cannot write --out %s: %s" % (out, exc.strerror)
+            ) from exc
     else:
         sys.stdout.write(text + "\n")
 

@@ -307,7 +307,10 @@ def spectrum_study(
     The tolerance profile at the final size is derived from the observed
     errors one size down: a mode passes when its error is absolutely small
     (1e-6 relative to the leading prediction scale) or has improved by at
-    least 10% over the half-size truncation.  Higher modes converge slower,
+    least 10% over the half-size truncation.  A quasi-nilpotent prediction
+    has one mode, the largest eigenvalue modulus, under the same rule: the
+    spurious eigenvalues of non-normal truncations shrink slowly, so one
+    that is neither small nor shrinking fails.  Higher modes converge slower,
     so a single absolute number would either mask regressions on the leading
     eigenvalue or reject honest slow modes; a purely relative rule would let
     a far-from-converged study certify itself.
@@ -321,10 +324,11 @@ def spectrum_study(
     )
     if len(sizes) < 2:
         profile = _DEFAULT_TOL_PROFILE
-    elif pred.quasi_nilpotent:
-        profile = (max(1e-8, 2.0 * rows[-2]["max_err_first6"]),) * LEADING_COUNT
     else:
-        prev = [m.error for m in reports[-2].matches]
+        if pred.quasi_nilpotent:  # its one mode: the largest modulus
+            prev = [rows[-2]["max_err_first6"]] * LEADING_COUNT
+        else:
+            prev = [m.error for m in reports[-2].matches]
         absolute = 1e-6 * (1.0 + abs(pred.psi_a))
         profile = tuple(
             max(1e-8, absolute, 0.9 * prev[i]) if i < len(prev) else absolute

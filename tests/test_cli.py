@@ -301,6 +301,19 @@ def test_sweep_spectrum_error_is_the_spectrum_reports():
     assert want["max_err_first6"] == max(
         abs(complex(*v)) for v in doc["eigenvalues_N"]
     )
+    # the modulus barely shrinks from N = 24 to 48, so the study fails
+    assert doc["passed"] is False
+
+
+def test_unwritable_out_is_a_parameter_error(tmp_path):
+    # a report that cannot be written exits 2 with one error line
+    target = tmp_path / "missing" / "x.json"
+    proc = run("analyze", *EX1_ARGS, "--M-max", "6", "--out", str(target))
+    assert proc.returncode == 2
+    assert proc.stderr.decode().startswith("error: cannot write --out ")
+    assert len(proc.stderr.decode().splitlines()) == 1
+    assert proc.stdout == b""
+    assert not target.parent.exists()
 
 
 def test_sweep_empty_range_is_usage_error():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -147,7 +149,7 @@ def test_col_errors_cover_the_underflow_cut():
         assert np.all(m.col_errors >= 2.0 ** (e - 511) * s / np.min(s))
 
 
-@pytest.mark.parametrize("n", [512, 1024])
+@pytest.mark.parametrize("n", [512, 1000, 1024])
 def test_ex1_truncation_is_real_triangular_and_bounded(n):
     # every entry of the ex1 truncation is at most 2.973 in modulus; circle
     # extraction at radius 0.9 amplified rounding to ~1e7 (N=512) and ~1e30
@@ -260,6 +262,44 @@ def test_apply_matches_matrix_route_on_random_polynomials():
                 deg = int(rng.integers(0, min(n // 4, 24)))
                 c = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
                 _assert_matrix_route_matches(psi, phi, c, n, m)
+
+
+_SLAB_PAIRS = {
+    **_CUT_PAIRS,
+    "mobius_auto": (EX1_PSI, catalog.mobius_auto(0.3 + 0.4j)),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 129, 1000])
+@pytest.mark.parametrize("pair", sorted(_SLAB_PAIRS))
+def test_slab_edges_match_exact_image(pair, n):
+    # the Toeplitz products run in slabs of 64 rows, each over the columns
+    # its rows reach; sizes around the slab edges, and a full-degree
+    # polynomial, reach every slab of every doubling step
+    psi, phi = _SLAB_PAIRS[pair]
+    if not np.any(psi.coefficients(n - 1)):  # exx2's psi = z**2 below N = 3
+        with pytest.raises(PreconditionError, match="zero operator"):
+            assemble_matrix(psi, phi, P_HALF, n)
+        return
+    c = np.random.default_rng(n).standard_normal(n)
+    m = assemble_matrix(psi, phi, P_HALF, n)
+    want = np.complex128 if pair == "mobius_auto" else np.float64
+    assert m.entries.dtype == want
+    _assert_matrix_route_matches(psi, phi, c, n, m)
+
+
+@pytest.mark.parametrize("pair", ["ex1", "mobius_auto"])
+def test_assembly_peak_memory_is_near_the_matrix(pair):
+    # the slabs are small, and the products are written into the matrix, so
+    # no N x N temporary exists beside it
+    psi, phi = _SLAB_PAIRS[pair]
+    tracemalloc.start()
+    try:
+        m = assemble_matrix(psi, phi, P_HALF, 1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * m.entries.nbytes
 
 
 def test_adjoint_kernel_identity_trivial_point():

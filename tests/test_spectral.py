@@ -282,6 +282,19 @@ def test_spectrum_study_quasi_nilpotent_envelope():
     assert float(np.max(np.abs(study.eigenvalues))) <= 1e-3
 
 
+def test_spectrum_study_quasi_nilpotent_needs_small_or_shrinking_modulus():
+    # psi vanishes at the fixed point 1/2; the largest eigenvalue modulus
+    # moves only from 2.99e-3 (N = 24) to 2.97e-3 (N = 48), neither below
+    # 1e-6 nor 10% smaller, so the study fails like a stalled ordinary mode
+    psi, phi = catalog.polynomial([-0.5, 1.0]), AFFINE
+    study = spectrum_study(psi, phi, SpaceParams(0.2), 48)
+    assert study.prediction.quasi_nilpotent
+    prev, last = [row["max_err_first6"] for row in study.convergence[-2:]]
+    assert 1e-6 < 0.9 * prev < last
+    assert study.tol_profile == (0.9 * prev,) * 6
+    assert not study.passed
+
+
 # --- weighted functional equation ----------------------------------------------------
 
 
